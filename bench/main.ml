@@ -757,7 +757,8 @@ let () =
         close_out oc;
         Printf.eprintf "[bench] wrote wall-trend analysis %s\n%!" out));
   (* Perf-trajectory gate: record / compare the committed
-     BENCH_hardbound.json snapshot (cycle drift > 2% fails). *)
+     BENCH_hardbound.json snapshot (any instruction, uop or cycle count
+     that differs fails). *)
   (match baseline_write with
    | None -> ()
    | Some path ->
@@ -773,11 +774,14 @@ let () =
      (match
         Suite.check_baseline ~baseline:(read_json path) (Lazy.force suite)
       with
-      | Ok () -> Printf.printf "[bench] baseline %s: all within 2%%\n" path
+      | Ok () ->
+        Printf.printf
+          "[bench] baseline %s: instructions, uops and cycles all identical\n"
+          path
       | Error msgs ->
         List.iter (fun m -> Printf.eprintf "[bench] DRIFT %s\n" m) msgs;
         Printf.eprintf
-          "[bench] cycle counts drifted from %s; if intentional, \
+          "[bench] simulated counts differ from %s; if intentional, \
            regenerate it with --baseline-write in the same change\n"
           path;
         exit 1));

@@ -115,16 +115,12 @@ let stats_of t = function
 let access t cls addr =
   let s = stats_of t cls in
   s.accesses <- s.accesses + 1;
-  let first_level, tlb =
-    match cls with
-    | Data | Base_bound -> (t.l1d, t.dtlb)
-    | Tag_meta -> (t.tagc, t.ttlb)
-  in
+  let meta = match cls with Tag_meta -> true | Data | Base_bound -> false in
   (* accumulated in plain ints, with [last_mask] as the scratch word (no
      ref cells or tuples: this is the simulator's hottest function) *)
   t.last_mask <- 0;
   let stall_tlb =
-    if Tlb.access tlb addr then 0
+    if Tlb.access (if meta then t.ttlb else t.dtlb) addr then 0
     else begin
       s.tlb_misses <- s.tlb_misses + 1;
       t.last_mask <- miss_tlb;
@@ -132,7 +128,7 @@ let access t cls addr =
     end
   in
   let stall_cache =
-    if Sa_cache.access first_level addr then 0
+    if Sa_cache.access (if meta then t.tagc else t.l1d) addr then 0
     else begin
       s.l1_misses <- s.l1_misses + 1;
       if Sa_cache.access t.l2 addr then begin

@@ -42,8 +42,19 @@ let create ~name ~size_bytes ~assoc ~block_bytes =
 
 let num_sets t = 1 lsl t.set_bits
 
+(* Way slot of [tag] in the set starting at [base], or [base + assoc] on
+   a miss: a plain loop, so a lookup allocates neither a closure nor an
+   option. *)
+let find_way t base tag =
+  let limit = base + t.assoc in
+  let i = ref base in
+  while !i < limit && Array.unsafe_get t.tags !i <> tag do
+    incr i
+  done;
+  !i
+
 (** Access a byte address; returns [true] on hit.  A miss installs the
-    block, evicting the LRU way. *)
+    block, evicting the LRU way (the first way with the smallest stamp). *)
 let access t addr =
   t.clock <- t.clock + 1;
   t.accesses <- t.accesses + 1;
@@ -51,25 +62,21 @@ let access t addr =
   let set = block land (num_sets t - 1) in
   let tag = block lsr t.set_bits in
   let base = set * t.assoc in
-  let rec find i =
-    if i >= t.assoc then None
-    else if t.tags.(base + i) = tag then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-    t.stamp.(base + i) <- t.clock;
+  let way = find_way t base tag in
+  if way < base + t.assoc then begin
+    t.stamp.(way) <- t.clock;
     true
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
-    (* Evict LRU way. *)
-    let victim = ref 0 in
-    for i = 1 to t.assoc - 1 do
-      if t.stamp.(base + i) < t.stamp.(base + !victim) then victim := i
+    let victim = ref base in
+    for i = base + 1 to base + t.assoc - 1 do
+      if t.stamp.(i) < t.stamp.(!victim) then victim := i
     done;
-    t.tags.(base + !victim) <- tag;
-    t.stamp.(base + !victim) <- t.clock;
+    t.tags.(!victim) <- tag;
+    t.stamp.(!victim) <- t.clock;
     false
+  end
 
 (** Non-allocating lookup, for tests and introspection. *)
 let probe t addr =
@@ -77,11 +84,7 @@ let probe t addr =
   let set = block land (num_sets t - 1) in
   let tag = block lsr t.set_bits in
   let base = set * t.assoc in
-  let rec find i =
-    if i >= t.assoc then false
-    else t.tags.(base + i) = tag || find (i + 1)
-  in
-  find 0
+  find_way t base tag < base + t.assoc
 
 let reset_stats t =
   t.accesses <- 0;

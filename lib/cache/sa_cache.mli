@@ -25,7 +25,8 @@ val num_sets : t -> int
 
 val access : t -> int -> bool
 (** Access a byte address; [true] on hit.  A miss installs the block,
-    evicting the LRU way. *)
+    evicting the LRU way (the first way with the smallest stamp).
+    Allocates nothing. *)
 
 val probe : t -> int -> bool
 (** Non-allocating residency check (tests/introspection). *)

@@ -74,22 +74,26 @@ let non_pointer_fail v =
   raise (Non_pointer_deref v)
 
 (** Raises on violation; returns [true] iff the access was actually
-    checked (used to count checked dereferences in statistics). *)
-let check mode (m : Meta.t) ~pc ~addr ~value ~width ~is_store =
+    checked (used to count checked dereferences in statistics).  The
+    pointer's bounds arrive as plain ints: a [Meta.t] is built only for a
+    violation record. *)
+let check mode ~base ~bound ~pc ~addr ~value ~width ~is_store =
   match mode with
   | Off -> false
   | Malloc_only ->
-    if Meta.is_pointer m then begin
+    if Meta.bounded ~base ~bound then begin
       tally.checks <- tally.checks + 1;
-      if not (Meta.in_bounds m ~addr ~width) then
-        bounds_fail { pc; addr; value; width; meta = m; is_store };
+      if not (Meta.covers ~base ~bound ~addr ~width) then
+        bounds_fail
+          { pc; addr; value; width; meta = { base; bound }; is_store };
       true
     end
     else false
   | Full ->
     tally.checks <- tally.checks + 1;
-    if not (Meta.is_pointer m) then
-      non_pointer_fail { pc; addr; value; width; meta = m; is_store };
-    if not (Meta.in_bounds m ~addr ~width) then
-      bounds_fail { pc; addr; value; width; meta = m; is_store };
+    if not (Meta.bounded ~base ~bound) then
+      non_pointer_fail
+        { pc; addr; value; width; meta = { base; bound }; is_store };
+    if not (Meta.covers ~base ~bound ~addr ~width) then
+      bounds_fail { pc; addr; value; width; meta = { base; bound }; is_store };
     true

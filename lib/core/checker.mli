@@ -51,12 +51,14 @@ val export_tally : Hb_obs.Metrics.t -> unit
 
 val check :
   mode ->
-  Meta.t ->
+  base:int ->
+  bound:int ->
   pc:int ->
   addr:int ->
   value:int ->
   width:int ->
   is_store:bool ->
   bool
-(** Perform the check; raises on violation.  Returns [true] iff the
-    access was actually checked (used for statistics). *)
+(** Perform the check on a pointer with bounds [\[base, bound)]; raises on
+    violation.  Returns [true] iff the access was actually checked (used
+    for statistics).  Allocates only the violation record. *)

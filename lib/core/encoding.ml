@@ -42,13 +42,19 @@ let scheme_of_name = function
 (** Bits per word in the tag metadata space. *)
 let tag_bits = function Extern4 -> 4 | Uncompressed | Intern4 | Intern11 -> 1
 
-(* Size code shared by Extern4/Intern4: object size 4*c for c in 1..14. *)
-let size_code ~value m =
-  let size = Meta.size m in
-  if
-    m.Meta.base = value && size >= 4 && size <= 56 && size mod 4 = 0
-  then Some (size / 4)
-  else None
+(* Size code shared by Extern4/Intern4: object size 4*c for c in 1..14,
+   or 0 when the object does not compress (an int, not an option: the
+   classifier runs on every pointer-producing ALU op). *)
+let size_code ~value ~base ~bound =
+  let size = bound - base in
+  if base = value && size >= 4 && size <= 56 && size mod 4 = 0 then size / 4
+  else 0
+
+(* Intern11's inline form: [ptr = base], size a multiple of 4 up to
+   4*2047 bytes. *)
+let intern11_fits ~value ~base ~bound =
+  let size = bound - base in
+  base = value && size >= 4 && size mod 4 = 0 && size / 4 <= 2047
 
 let extern4_uncompressed_tag = 15
 
@@ -68,26 +74,24 @@ let encode scheme ~value (m : Meta.t) : encoded =
   else
     match scheme with
     | Uncompressed -> Enc_shadow { word = value; tag = 1 }
-    | Extern4 -> (
-      match size_code ~value m with
-      | Some c -> Enc_inline { word = value; tag = c; aux = 0 }
-      | None -> Enc_shadow { word = value; tag = extern4_uncompressed_tag })
-    | Intern4 -> (
+    | Extern4 ->
+      let c = size_code ~value ~base:m.base ~bound:m.bound in
+      if c <> 0 then Enc_inline { word = value; tag = c; aux = 0 }
+      else Enc_shadow { word = value; tag = extern4_uncompressed_tag }
+    | Intern4 ->
       if value >= 0x80000000 then
         (* The flag bit doubles as the shadow-space address bit; data
            pointers into that region cannot exist (Section 4.3). *)
         Hb_error.fail ~component:"encoding" ~addr:value
           "intern-4: pointer into shadow half of address space";
-      match size_code ~value m with
-      | Some c when value < Hb_mem.Layout.internal_region_limit ->
+      let c = size_code ~value ~base:m.base ~bound:m.bound in
+      if c <> 0 && value < Hb_mem.Layout.internal_region_limit then
         Enc_inline
           { word = 0x80000000 lor (c lsl 27) lor value; tag = 1; aux = 0 }
-      | _ -> Enc_shadow { word = value; tag = 1 })
+      else Enc_shadow { word = value; tag = 1 }
     | Intern11 ->
-      let size = Meta.size m in
-      if
-        m.Meta.base = value && size >= 4 && size mod 4 = 0 && size / 4 <= 2047
-      then Enc_inline { word = value; tag = 1; aux = size / 4 }
+      if intern11_fits ~value ~base:m.base ~bound:m.bound then
+        Enc_inline { word = value; tag = 1; aux = Meta.size m / 4 }
       else Enc_shadow { word = value; tag = 1 }
 
 (** Result of decoding a loaded word given its tag (and side bits). *)
@@ -128,29 +132,24 @@ let kind_name = function
   | Narrow -> "narrow"
   | Wide -> "wide"
 
-let classify scheme ~value (m : Meta.t) : kind =
-  if not (Meta.is_pointer m) then Non_pointer
+let classify scheme ~value ~base ~bound : kind =
+  if not (Meta.bounded ~base ~bound) then Non_pointer
   else
     match scheme with
     | Uncompressed -> Wide
-    | Extern4 -> (
-      match size_code ~value m with Some _ -> Narrow | None -> Wide)
-    | Intern4 -> (
-      if value >= 0x80000000 then Wide
-      else
-        match size_code ~value m with
-        | Some _ when value < Hb_mem.Layout.internal_region_limit -> Narrow
-        | _ -> Wide)
-    | Intern11 ->
-      let size = Meta.size m in
-      if m.Meta.base = value && size >= 4 && size mod 4 = 0 && size / 4 <= 2047
+    | Extern4 -> if size_code ~value ~base ~bound <> 0 then Narrow else Wide
+    | Intern4 ->
+      if
+        value < Hb_mem.Layout.internal_region_limit
+        && size_code ~value ~base ~bound <> 0
       then Narrow
       else Wide
+    | Intern11 -> if intern11_fits ~value ~base ~bound then Narrow else Wide
 
 (** True if storing this register would need a shadow-space access (and the
     extra metadata micro-op of Section 5.4). *)
-let needs_shadow scheme ~value m =
-  match encode scheme ~value m with
+let needs_shadow scheme ~value ~base ~bound =
+  match encode scheme ~value { Meta.base; bound } with
   | Enc_shadow _ -> true
   | Enc_non_pointer _ | Enc_inline _ -> false
 

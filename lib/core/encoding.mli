@@ -54,13 +54,14 @@ type kind = Non_pointer | Narrow | Wide
 
 val kind_name : kind -> string
 
-val classify : scheme -> value:int -> Meta.t -> kind
-(** Total (never-raising) shape of {!encode}: observes without storing,
-    so even addresses [encode] rejects (Intern4 shadow-half pointers)
-    classify as [Wide].  Drives the timeline's encoding-transition
-    counters. *)
+val classify : scheme -> value:int -> base:int -> bound:int -> kind
+(** Total (never-raising) shape of {!encode} for a value with bounds
+    [\[base, bound)], given as plain ints so the per-instruction caller
+    builds no record: observes without storing, so even addresses
+    [encode] rejects (Intern4 shadow-half pointers) classify as [Wide].
+    Drives the timeline's encoding-transition counters. *)
 
-val needs_shadow : scheme -> value:int -> Meta.t -> bool
+val needs_shadow : scheme -> value:int -> base:int -> bound:int -> bool
 (** Would storing this register need a shadow-space access (and the
     metadata micro-op of Section 5.4)? *)
 

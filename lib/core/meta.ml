@@ -9,7 +9,12 @@ type t = { base : int; bound : int }
 
 let non_pointer = { base = 0; bound = 0 }
 
-let is_pointer m = m.base <> 0 || m.bound <> 0
+(** Does a value with these bounds carry pointer metadata?  Base and bound
+    come as plain ints, the way the register file holds them, so the
+    checker and the machine never build a record to ask. *)
+let bounded ~base ~bound = base <> 0 || bound <> 0
+
+let is_pointer m = bounded ~base:m.base ~bound:m.bound
 
 (** Size in bytes of the referent region (meaningless for non-pointers). *)
 let size m = m.bound - m.base
@@ -35,6 +40,6 @@ let to_string m =
 (** Width-aware spatial check: the access [addr, addr+width) must fall
     inside [base, bound).  Figure 3 of the paper checks the pointer value
     only; we check the full accessed extent, which is strictly stronger and
-    matches the intent (an m-byte access at bound-1 overflows). *)
-let in_bounds m ~addr ~width =
-  addr >= m.base && addr + width <= m.bound
+    matches the intent (an m-byte access at bound-1 overflows).  Plain-int
+    bounds, like {!bounded}. *)
+let covers ~base ~bound ~addr ~width = addr >= base && addr + width <= bound

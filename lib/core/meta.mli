@@ -9,6 +9,10 @@ type t = { base : int; bound : int }
 val non_pointer : t
 (** Metadata of a non-pointer value: base = bound = 0. *)
 
+val bounded : base:int -> bound:int -> bool
+(** [true] unless both are zero: does a value with these bounds carry
+    pointer metadata?  {!is_pointer} on unboxed fields. *)
+
 val is_pointer : t -> bool
 (** [true] unless both fields are zero. *)
 
@@ -32,6 +36,6 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 
-val in_bounds : t -> addr:int -> width:int -> bool
+val covers : base:int -> bound:int -> addr:int -> width:int -> bool
 (** Width-aware spatial check: does the access [addr, addr+width) fall
     inside [base, bound)? *)

@@ -18,14 +18,17 @@ let propagates = function
   | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sar
   | Slt | Sle | Seq | Sne | Sgt | Sge | Sltu -> false
 
-(** Metadata for [rd <- rs OP (reg rs2)]. *)
-let binop op (m1 : Meta.t) (m2 : Meta.t) =
-  if propagates op then if Meta.is_pointer m1 then m1 else m2
-  else Meta.non_pointer
+(** Which operand's bounds the result of a register-register op takes. *)
+type operand = First | Second | Neither
 
-(** Metadata for [rd <- rs OP imm]. *)
-let binop_imm op (m1 : Meta.t) =
-  if propagates op then m1 else Meta.non_pointer
+(** Metadata for [rd <- rs OP (reg rs2)], given [rs]'s bounds as plain
+    ints: [rs]'s bounds if it is a pointer, else [rs2]'s; none for an op
+    that does not propagate.  [rd <- rs OP imm] takes [rs]'s bounds
+    exactly when {!propagates}. *)
+let binop op ~base1 ~bound1 =
+  if not (propagates op) then Neither
+  else if Meta.bounded ~base:base1 ~bound:bound1 then First
+  else Second
 
 (** Metadata written by setbound. *)
 let setbound ~value ~size = Meta.make ~base:value ~size

@@ -4,14 +4,17 @@
 val propagates : Hb_isa.Types.alu_op -> bool
 (** [add]/[sub] propagate pointer bounds; multiply, divide, shifts and
     logical operations do not (the paper notes they safely could, but
-    opts not to). *)
+    opts not to).  [rd <- rs OP imm] copies [rs]'s bounds exactly when
+    the op propagates (Figure 3 (A)). *)
 
-val binop : Hb_isa.Types.alu_op -> Meta.t -> Meta.t -> Meta.t
-(** Metadata for [rd <- rs1 OP rs2]: the first operand's bounds if it is
-    a pointer, else the second's (Figure 3 (B)). *)
+(** Whose bounds a register-register op's result takes. *)
+type operand = First | Second | Neither
 
-val binop_imm : Hb_isa.Types.alu_op -> Meta.t -> Meta.t
-(** Metadata for [rd <- rs OP imm]: copied from [rs] (Figure 3 (A)). *)
+val binop :
+  Hb_isa.Types.alu_op -> base1:int -> bound1:int -> operand
+(** Metadata for [rd <- rs1 OP rs2], given [rs1]'s bounds as plain ints:
+    the first operand's bounds if it is a pointer, else the second's
+    (Figure 3 (B)); [Neither] when the op does not propagate. *)
 
 val setbound : value:int -> size:int -> Meta.t
 (** Metadata written by the raw [setbound] instruction. *)

@@ -97,6 +97,7 @@ type t = {
   image : Hb_isa.Program.image;
   mem : Physmem.t;
   hier : Hierarchy.t;
+  tag_bits : int;  (** [Encoding.tag_bits cfg.scheme] *)
   regs : int array;
   rbase : int array;
   rbound : int array;
@@ -137,13 +138,23 @@ let fault m msg = raise (Machine_fault (Printf.sprintf "%s (pc=%d, fn=%s)" msg m
 let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
   let mem = Physmem.create () in
   (* Pages are zero-filled on demand: skip zero bytes so that large
-     zero-initialized globals (e.g. the object-table node pool) do not
-     touch pages the program never uses. *)
-  String.iteri
-    (fun i c ->
-      if c <> '\000' then
-        Physmem.write_u8 mem (Layout.globals_base + i) (Char.code c))
-    globals;
+     zero-initialized globals (e.g. the object-table node pool, a
+     megabyte holding a handful of non-zero bytes) do not touch pages the
+     program never uses.  The image is scanned a 64-bit word at a time;
+     only a non-zero word's bytes are looked at one by one. *)
+  let len = String.length globals in
+  let load_byte i =
+    let c = String.unsafe_get globals i in
+    if c <> '\000' then
+      Physmem.write_u8 mem (Layout.globals_base + i) (Char.code c)
+  in
+  let i = ref 0 in
+  while !i + 8 <= len do
+    if String.get_int64_ne globals !i <> 0L then
+      for j = !i to !i + 7 do load_byte j done;
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do load_byte j done;
   let tag_bits = Encoding.tag_bits config.scheme in
   let hier = Hierarchy.create (Hierarchy.default_params ~tag_bits) in
   let m =
@@ -152,6 +163,7 @@ let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
       image;
       mem;
       hier;
+      tag_bits;
       regs = Array.make num_regs 0;
       rbase = Array.make num_regs 0;
       rbound = Array.make num_regs 0;
@@ -185,14 +197,66 @@ let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
 
 let reg_meta m r : Meta.t = { base = m.rbase.(r); bound = m.rbound.(r) }
 
-let set_reg m r v (md : Meta.t) =
+(* Register writes.  Bounds move as plain ints — the register file's own
+   representation — so the per-instruction paths build no [Meta.t]. *)
+let set_bounds m r v ~base ~bound =
   if r <> zero then begin
     m.regs.(r) <- v;
-    m.rbase.(r) <- md.base;
-    m.rbound.(r) <- md.bound
+    m.rbase.(r) <- base;
+    m.rbound.(r) <- bound
   end
 
+let set_reg m r v (md : Meta.t) = set_bounds m r v ~base:md.base ~bound:md.bound
+
 let hb_on m = m.cfg.mode <> Checker.Off
+
+(* ---- Tag space and side bits ------------------------------------------ *)
+
+(* Tag-space byte holding the tag of [word_addr].  A HardBound access
+   computes it once, for the tag-cache access, and hands it on as
+   [~taddr] to the tag read or write itself. *)
+let tag_addr m word_addr = Layout.tag_addr ~bits:m.tag_bits word_addr
+
+let read_tag_at m ~taddr word_addr =
+  Physmem.read_bits m.mem taddr
+    (Layout.tag_shift ~bits:m.tag_bits word_addr)
+    (Layout.tag_mask ~bits:m.tag_bits)
+
+let write_tag_at m ~taddr word_addr v =
+  Physmem.write_bits m.mem taddr
+    (Layout.tag_shift ~bits:m.tag_bits word_addr)
+    (Layout.tag_mask ~bits:m.tag_bits) v
+
+let read_tag m word_addr =
+  read_tag_at m ~taddr:(tag_addr m word_addr) word_addr
+
+let write_tag m word_addr v =
+  write_tag_at m ~taddr:(tag_addr m word_addr) word_addr v
+
+(** Non-materializing {!read_tag}: an absent tag page reads as 0 and is not
+    created, for scans that must leave the touched-page counts alone. *)
+let peek_tag m word_addr =
+  (Physmem.peek_u8 m.mem (tag_addr m word_addr)
+   lsr Layout.tag_shift ~bits:m.tag_bits word_addr)
+  land Layout.tag_mask ~bits:m.tag_bits
+
+(** Intern11's stolen upper bits of the word at [word_addr] (0 if none).
+    Intern11 is the only scheme that writes the side store, so every other
+    scheme skips the lookup. *)
+let read_aux m word_addr =
+  match m.cfg.scheme with
+  | Encoding.Intern11 -> (
+    match Hashtbl.find m.aux_bits word_addr with
+    | a -> a
+    | exception Not_found -> 0)
+  | Encoding.Uncompressed | Encoding.Extern4 | Encoding.Intern4 -> 0
+
+let write_aux m word_addr aux =
+  match m.cfg.scheme with
+  | Encoding.Intern11 ->
+    if aux <> 0 then Hashtbl.replace m.aux_bits word_addr aux
+    else Hashtbl.remove m.aux_bits word_addr
+  | Encoding.Uncompressed | Encoding.Extern4 | Encoding.Intern4 -> ()
 
 (* ---- Observability -------------------------------------------------- *)
 
@@ -310,8 +374,8 @@ let heat_rows m =
    neither the Figure-6 touched-page counts nor the timing model. *)
 let census m : Timeline.census =
   let scheme = m.cfg.scheme in
-  let bits = Encoding.tag_bits scheme in
-  let tag_mask = (1 lsl bits) - 1 in
+  let bits = m.tag_bits in
+  let tag_mask = Layout.tag_mask ~bits in
   let words_per_byte = 8 / bits in
   let objects = Hashtbl.create 64 in
   let live = ref 0
@@ -328,19 +392,14 @@ let census m : Timeline.census =
             let byte = Char.code c in
             if byte <> 0 then begin
               incr tag_bytes;
-              let first_widx =
-                (page_base + i - Layout.tag_base) * words_per_byte
-              in
               for slot = 0 to words_per_byte - 1 do
                 let tag = (byte lsr (slot * bits)) land tag_mask in
                 if tag <> 0 then begin
-                  let word_addr = (first_widx + slot) * Layout.word in
-                  let word = Physmem.peek_u32 m.mem word_addr in
-                  let aux =
-                    match Hashtbl.find_opt m.aux_bits word_addr with
-                    | Some a -> a
-                    | None -> 0
+                  let word_addr =
+                    Layout.tagged_word ~bits (page_base + i) slot
                   in
+                  let word = Physmem.peek_u32 m.mem word_addr in
+                  let aux = read_aux m word_addr in
                   match Encoding.decode scheme ~word ~tag ~aux with
                   | Encoding.Dec_non_pointer _ -> ()
                   | Encoding.Dec_inline (_, md) ->
@@ -577,32 +636,17 @@ let[@inline] hier_access m cls addr =
      if m.hier.Hierarchy.last_mask <> 0 then flame_hier_misses m f);
   stall
 
-let tag_loc m word_addr =
-  Layout.tag_location ~bits:(Encoding.tag_bits m.cfg.scheme) word_addr
-
-let read_tag m word_addr =
-  let addr, shift, mask = tag_loc m word_addr in
-  Physmem.read_bits m.mem addr shift mask
-
-let write_tag m word_addr v =
-  let addr, shift, mask = tag_loc m word_addr in
-  Physmem.write_bits m.mem addr shift mask v
-
 (* Current encoding kind of the memory word an aligned store is about to
    overwrite — the "before" side of the enc_promotions / enc_demotions
    transition counters.  Reads only state the store itself is about to
    touch (its tag and its word), so it perturbs neither the touched-page
    counts nor the timing model; charges nothing. *)
-let stored_kind m word_addr =
-  let tag = read_tag m word_addr in
+let stored_kind m ~taddr word_addr =
+  let tag = read_tag_at m ~taddr word_addr in
   if tag = 0 then Encoding.Non_pointer
   else
     let word = Physmem.read_u32 m.mem word_addr in
-    let aux =
-      match Hashtbl.find_opt m.aux_bits word_addr with
-      | Some a -> a
-      | None -> 0
-    in
+    let aux = read_aux m word_addr in
     match Encoding.decode m.cfg.scheme ~word ~tag ~aux with
     | Encoding.Dec_non_pointer _ -> Encoding.Non_pointer
     | Encoding.Dec_inline _ -> Encoding.Narrow
@@ -612,14 +656,16 @@ let stored_kind m word_addr =
    with effective address [ea].  Returns unit or raises.  A pending
    [Skip_check] override (armed by a trap supervisor re-issuing the
    faulting access) suppresses exactly this one check; the unchecked
-   retire is not counted as a checked dereference. *)
+   retire is not counted as a checked dereference.  With the HardBound
+   hardware off there is nothing to check, so the checker is not
+   consulted. *)
 let check_access m r ea width ~is_store =
   if m.override = Skip_check then m.override <- No_override
-  else
-  let meta = reg_meta m r in
+  else if hb_on m then
+  let base = m.rbase.(r) and bound = m.rbound.(r) in
   let checked =
-    Checker.check m.cfg.mode meta ~pc:m.pc ~addr:ea ~value:m.regs.(r) ~width
-      ~is_store
+    Checker.check m.cfg.mode ~base ~bound ~pc:m.pc ~addr:ea ~value:m.regs.(r)
+      ~width ~is_store
   in
   if checked then begin
     m.stats.checked_derefs <- m.stats.checked_derefs + 1;
@@ -630,9 +676,7 @@ let check_access m r ea width ~is_store =
      | None -> ()
      | Some _ ->
        emit m
-         (Trace.Checked_deref
-            { addr = ea; width; is_store; base = meta.Meta.base;
-              bound = meta.Meta.bound }));
+         (Trace.Checked_deref { addr = ea; width; is_store; base; bound }));
     (* Section 5.4 knob: a modest implementation checks uncompressed
        pointers with shared ALUs (one extra micro-op).  The stack, frame
        and global pointers are exempt: their whole-region bounds are
@@ -641,7 +685,7 @@ let check_access m r ea width ~is_store =
     if
       m.cfg.checked_deref_uop
       && r <> sp && r <> fp && r <> gp
-      && Encoding.needs_shadow m.cfg.scheme ~value:m.regs.(r) meta
+      && Encoding.needs_shadow m.cfg.scheme ~value:m.regs.(r) ~base ~bound
     then begin
       m.stats.check_uops <- m.stats.check_uops + 1;
       m.stats.uops <- m.stats.uops + 1
@@ -681,17 +725,13 @@ let do_load m ~dst ~basereg ~off ~width ~signed =
     let word_addr = ea land lnot 3 in
     let data_stall = hier_access m Hierarchy.Data ea in
     (* Tag metadata cache is accessed in parallel with the L1 (Figure 4). *)
-    let tag_addr, _, _ = tag_loc m word_addr in
-    let tag_stall = hier_access m Hierarchy.Tag_meta tag_addr in
+    let taddr = tag_addr m word_addr in
+    let tag_stall = hier_access m Hierarchy.Tag_meta taddr in
     charge_parallel m ~data:data_stall ~tag:tag_stall;
     if width = W4 && ea land 3 = 0 then begin
-      let tagv = read_tag m word_addr in
+      let tagv = read_tag_at m ~taddr word_addr in
       let word = raw_read m ea W4 in
-      let aux =
-        match Hashtbl.find_opt m.aux_bits word_addr with
-        | Some a -> a
-        | None -> 0
-      in
+      let aux = read_aux m word_addr in
       match Encoding.decode m.cfg.scheme ~word ~tag:tagv ~aux with
       | Encoding.Dec_non_pointer v -> set_reg m dst v Meta.non_pointer
       | Encoding.Dec_inline (v, md) ->
@@ -710,9 +750,9 @@ let do_load m ~dst ~basereg ~off ~width ~signed =
          | None -> ()
          | Some _ -> emit m (Trace.Metadata_uop { addr = sa; is_store = false }));
         charge_bb m (hier_access m Hierarchy.Base_bound sa);
-        let b = Physmem.read_u32 m.mem sa in
-        let bd = Physmem.read_u32 m.mem (sa + 4) in
-        set_reg m dst v { base = b; bound = bd }
+        let base = Physmem.read_u32 m.mem sa in
+        let bound = Physmem.read_u32 m.mem (sa + 4) in
+        set_bounds m dst v ~base ~bound
     end
     else begin
       let v = raw_read m ea width in
@@ -737,8 +777,8 @@ let do_store m ~src ~basereg ~off ~width =
   if m.cfg.tripwire then begin
     (* the validity bit lives in a 1-bit-per-word structure: model its
        lookup like a tag-space access *)
-    let taddr, _, _ = Layout.tag_location ~bits:1 (ea land lnot 3) in
-    charge_tag m (hier_access m Hierarchy.Tag_meta taddr);
+    charge_tag m
+      (hier_access m Hierarchy.Tag_meta (Layout.tag_addr ~bits:1 ea));
     Temporal.check_tripwire m.temporal ~addr:ea
   end;
   if not (hb_on m) then begin
@@ -748,35 +788,35 @@ let do_store m ~src ~basereg ~off ~width =
   else begin
     let word_addr = ea land lnot 3 in
     let data_stall = hier_access m Hierarchy.Data ea in
-    let tag_addr, _, _ = tag_loc m word_addr in
-    let tag_stall = hier_access m Hierarchy.Tag_meta tag_addr in
+    let taddr = tag_addr m word_addr in
+    let tag_stall = hier_access m Hierarchy.Tag_meta taddr in
     charge_parallel m ~data:data_stall ~tag:tag_stall;
     if width = W4 && ea land 3 = 0 then begin
       let meta = reg_meta m src in
-      let old_kind = stored_kind m word_addr in
+      (* the overwritten word's kind matters only to a pointer store's
+         promotion/demotion counters, so only those decode it *)
       match Encoding.encode m.cfg.scheme ~value:m.regs.(src) meta with
       | Encoding.Enc_non_pointer v ->
         raw_write m ea v W4;
-        write_tag m word_addr 0;
-        Hashtbl.remove m.aux_bits word_addr
+        write_tag_at m ~taddr word_addr 0;
+        write_aux m word_addr 0
       | Encoding.Enc_inline { word; tag; aux } ->
         m.stats.ptr_stores <- m.stats.ptr_stores + 1;
-        if old_kind = Encoding.Wide then
+        if stored_kind m ~taddr word_addr = Encoding.Wide then
           m.stats.enc_demotions <- m.stats.enc_demotions + 1;
         raw_write m ea word W4;
-        write_tag m word_addr tag;
-        if aux <> 0 then Hashtbl.replace m.aux_bits word_addr aux
-        else Hashtbl.remove m.aux_bits word_addr
+        write_tag_at m ~taddr word_addr tag;
+        write_aux m word_addr aux
       | Encoding.Enc_shadow { word; tag } ->
         m.stats.ptr_stores <- m.stats.ptr_stores + 1;
         m.stats.ptr_stores_shadow <- m.stats.ptr_stores_shadow + 1;
-        if old_kind = Encoding.Narrow then
+        if stored_kind m ~taddr word_addr = Encoding.Narrow then
           m.stats.enc_promotions <- m.stats.enc_promotions + 1;
         m.stats.metadata_uops <- m.stats.metadata_uops + 1;
         m.stats.uops <- m.stats.uops + 1;
         raw_write m ea word W4;
-        write_tag m word_addr tag;
-        Hashtbl.remove m.aux_bits word_addr;
+        write_tag_at m ~taddr word_addr tag;
+        write_aux m word_addr 0;
         let sa = Layout.shadow_addr word_addr in
         (match m.tracer with
          | None -> ()
@@ -790,19 +830,17 @@ let do_store m ~src ~basereg ~off ~width =
          containing word: materialize the decoded value (internal
          encodings keep metadata bits inside the word), then clear the
          tag. *)
-      let tagv = read_tag m word_addr in
+      let tagv = read_tag_at m ~taddr word_addr in
       if tagv <> 0 then begin
         let word = raw_read m word_addr W4 in
-        let aux =
-          match Hashtbl.find_opt m.aux_bits word_addr with
-          | Some a -> a
-          | None -> 0
-        in
-        (match Encoding.decode m.cfg.scheme ~word ~tag:tagv ~aux with
+        (match
+           Encoding.decode m.cfg.scheme ~word ~tag:tagv
+             ~aux:(read_aux m word_addr)
+         with
          | Encoding.Dec_inline (v, _) -> raw_write m word_addr v W4
          | Encoding.Dec_non_pointer _ | Encoding.Dec_shadow _ -> ());
-        write_tag m word_addr 0;
-        Hashtbl.remove m.aux_bits word_addr
+        write_tag_at m ~taddr word_addr 0;
+        write_aux m word_addr 0
       end;
       raw_write m ea m.regs.(src) width
     end
@@ -840,33 +878,39 @@ let do_syscall m s =
    compresses) will force shadow traffic if it is ever stored — the
    timeline's ptr_arith_promotions counter.  Callers guard on the result
    being a pointer, so baseline modes never reach the classifier. *)
-let count_arith_promotion m ~src v md =
+let count_arith_promotion m ~src v ~base ~bound =
   let scheme = m.cfg.scheme in
   if
-    Encoding.classify scheme ~value:v md = Encoding.Wide
-    && Encoding.classify scheme ~value:m.regs.(src) (reg_meta m src)
+    Encoding.classify scheme ~value:v ~base ~bound = Encoding.Wide
+    && Encoding.classify scheme ~value:m.regs.(src) ~base ~bound
        = Encoding.Narrow
   then m.stats.ptr_arith_promotions <- m.stats.ptr_arith_promotions + 1
 
-let count_setbound_compressible m v md =
-  if Encoding.classify m.cfg.scheme ~value:v md = Encoding.Narrow then
-    m.stats.setbound_compressible <- m.stats.setbound_compressible + 1
+(* [rd <- v] inheriting [src]'s bounds (Figure 3 (A)/(B)). *)
+let arith_result m rd v src =
+  let base = m.rbase.(src) and bound = m.rbound.(src) in
+  if Meta.bounded ~base ~bound then count_arith_promotion m ~src v ~base ~bound;
+  set_bounds m rd v ~base ~bound
+
+let count_setbound_compressible m v (md : Meta.t) =
+  if
+    Encoding.classify m.cfg.scheme ~value:v ~base:md.base ~bound:md.bound
+    = Encoding.Narrow
+  then m.stats.setbound_compressible <- m.stats.setbound_compressible + 1
 
 let exec m i next =
   (match i with
    | Alu (op, rd, rs, Imm imm) ->
      let v = alu_eval m op m.regs.(rs) (mask32 imm) in
-     let md = Propagate.binop_imm op (reg_meta m rs) in
-     if Meta.is_pointer md then count_arith_promotion m ~src:rs v md;
-     set_reg m rd v md;
+     if Propagate.propagates op then arith_result m rd v rs
+     else set_reg m rd v Meta.non_pointer;
      m.pc <- next
    | Alu (op, rd, rs, Reg rs2) ->
      let v = alu_eval m op m.regs.(rs) m.regs.(rs2) in
-     let md = Propagate.binop op (reg_meta m rs) (reg_meta m rs2) in
-     (if Meta.is_pointer md then
-        let src = if Meta.is_pointer (reg_meta m rs) then rs else rs2 in
-        count_arith_promotion m ~src v md);
-     set_reg m rd v md;
+     (match Propagate.binop op ~base1:m.rbase.(rs) ~bound1:m.rbound.(rs) with
+      | Propagate.First -> arith_result m rd v rs
+      | Propagate.Second -> arith_result m rd v rs2
+      | Propagate.Neither -> set_reg m rd v Meta.non_pointer);
      m.pc <- next
    | Falu (op, rd, r1, r2) ->
      set_reg m rd (falu_eval op m.regs.(r1) m.regs.(r2)) Meta.non_pointer;
@@ -892,7 +936,7 @@ let exec m i next =
      set_reg m rd (mask32 v) Meta.non_pointer;
      m.pc <- next
    | Mov (rd, rs) ->
-     set_reg m rd m.regs.(rs) (reg_meta m rs);
+     set_bounds m rd m.regs.(rs) ~base:m.rbase.(rs) ~bound:m.rbound.(rs);
      m.pc <- next
    | Load { dst; base; off; width; signed } ->
      do_load m ~dst ~basereg:base ~off ~width ~signed;
@@ -977,7 +1021,9 @@ let exec m i next =
      (* Section 6.1: code pointers carry base = bound = MAXINT; in full
         mode forged (non-pointer) function pointers are rejected. *)
      (if m.cfg.mode = Checker.Full
-         && not (Meta.equal (reg_meta m r) Meta.code_pointer) then
+         && not
+              (m.rbase.(r) = Meta.code_pointer.base
+              && m.rbound.(r) = Meta.code_pointer.bound) then
         raise
           (Checker.Non_pointer_deref
              { pc = m.pc; addr = m.regs.(r); value = m.regs.(r); width = 4;

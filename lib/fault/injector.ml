@@ -94,7 +94,9 @@ let random_data_word rng m = random_word_addr rng m ~keep:is_data
 
 (* Data-region words currently tagged as pointers — the words whose
    shadow entries the checker will actually consult.  Deterministic scan
-   in page/offset order. *)
+   in page/offset order.  Tags are peeked: the scan runs inside
+   [fold_pages], which forbids creating pages, and must not count tag
+   pages the program never touched. *)
 let tagged_data_words (m : Machine.t) =
   let words = ref [] in
   Physmem.fold_pages m.Machine.mem ~init:() ~f:(fun () idx _ ->
@@ -102,7 +104,7 @@ let tagged_data_words (m : Machine.t) =
       if is_data (Layout.region_of base) then
         for w = words_per_page - 1 downto 0 do
           let addr = base + (w * Layout.word) in
-          if Machine.read_tag m addr <> 0 then words := addr :: !words
+          if Machine.peek_tag m addr <> 0 then words := addr :: !words
         done);
   Array.of_list !words
 
@@ -116,13 +118,9 @@ let shadow_backed_words (m : Machine.t) =
   Array.of_list
     (List.filter
        (fun addr ->
-         let tag = Machine.read_tag m addr in
-         let word = Physmem.read_u32 m.Machine.mem addr in
-         let aux =
-           match Hashtbl.find_opt m.Machine.aux_bits addr with
-           | Some a -> a
-           | None -> 0
-         in
+         let tag = Machine.peek_tag m addr in
+         let word = Physmem.peek_u32 m.Machine.mem addr in
+         let aux = Machine.read_aux m addr in
          match Encoding.decode scheme ~word ~tag ~aux with
          | Encoding.Dec_shadow _ -> true
          | Encoding.Dec_inline _ | Encoding.Dec_non_pointer _ -> false)

@@ -106,8 +106,16 @@ let snapshot_json (suite : per_workload list) =
 let snap_fail fmt =
   Printf.ksprintf (fun m -> raise (Json.Parse_error ("baseline: " ^ m))) fmt
 
-(* (workload, config) -> cycles of a parsed snapshot document. *)
-let snapshot_cycles json =
+(* The counts a snapshot pins for each (workload, config) entry. *)
+let snapshot_fields =
+  [
+    ("instructions", fun (r : Run.record) -> r.Run.instructions);
+    ("uops", fun (r : Run.record) -> r.Run.uops);
+    ("cycles", fun (r : Run.record) -> r.Run.cycles);
+  ]
+
+(* (workload, config, field) -> count of a parsed snapshot document. *)
+let snapshot_counts json =
   let tbl = Hashtbl.create 64 in
   let geti obj key =
     match Option.bind (Json.member key obj) Json.to_int with
@@ -133,45 +141,45 @@ let snapshot_cycles json =
         | None -> snap_fail "%s: missing \"runs\" list" name
       in
       List.iter
-        (fun r -> Hashtbl.replace tbl (name, gets r "config") (geti r "cycles"))
+        (fun r ->
+          let config = gets r "config" in
+          List.iter
+            (fun (field, _) ->
+              Hashtbl.replace tbl (name, config, field) (geti r field))
+            snapshot_fields)
         runs)
     workloads;
   tbl
 
 (** Compare a freshly measured suite against a committed snapshot
-    document.  [Error] lists every (workload, config) whose cycle count
-    drifted by more than [tolerance] (a fraction, default 2%) from the
-    recorded value, and every pair the snapshot does not cover — an
-    unexplained perf regression *or* an unrecorded improvement both fail,
-    forcing the baseline update into the same change.  Raises
+    document.  The simulator is deterministic, so the comparison is
+    exact: [Error] lists every (workload, config, count) whose
+    instructions, uops or cycles differ from the recorded value by even
+    one, and every pair the snapshot does not cover — an unexplained perf
+    regression *or* an unrecorded improvement both fail, forcing the
+    baseline update into the same change.  Raises
     {!Hb_obs.Json.Parse_error} when [baseline] is not a snapshot. *)
-let check_baseline ?(tolerance = 0.02) ~baseline (suite : per_workload list) =
-  let recorded = snapshot_cycles baseline in
+let check_baseline ~baseline (suite : per_workload list) =
+  let recorded = snapshot_counts baseline in
   let drifts =
     List.concat_map
       (fun w ->
-        List.filter_map
+        List.concat_map
           (fun (config, (r : Run.record)) ->
-            match Hashtbl.find_opt recorded (w.name, config) with
-            | None ->
-              Some
-                (Printf.sprintf "%s/%s: not in the committed baseline" w.name
-                   config)
-            | Some expect ->
-              let drift =
-                if expect = 0 then (if r.Run.cycles = 0 then 0.0 else infinity)
-                else
-                  abs_float (float_of_int (r.Run.cycles - expect))
-                  /. float_of_int expect
-              in
-              if drift > tolerance then
-                Some
-                  (Printf.sprintf
-                     "%s/%s: cycles %d drifted %.2f%% from baseline %d \
-                      (tolerance %.1f%%)"
-                     w.name config r.Run.cycles (100.0 *. drift) expect
-                     (100.0 *. tolerance))
-              else None)
+            List.filter_map
+              (fun (field, count) ->
+                match Hashtbl.find_opt recorded (w.name, config, field) with
+                | None ->
+                  Some
+                    (Printf.sprintf "%s/%s: %s not in the committed baseline"
+                       w.name config field)
+                | Some expect when count r <> expect ->
+                  Some
+                    (Printf.sprintf
+                       "%s/%s: %s %d differs from baseline %d (%+d)" w.name
+                       config field (count r) expect (count r - expect))
+                | Some _ -> None)
+              snapshot_fields)
           (snapshot_runs w))
       suite
   in
@@ -188,6 +196,8 @@ let wall_point ?(extra = []) ~label (suite : per_workload list) =
   Json.Obj
     ([
        ("label", Json.String label);
+       (* wall numbers mean little without the core count they ran on *)
+       ("nproc", Json.Int (Domain.recommended_domain_count ()));
        ( "entries",
          Json.List
            (List.concat_map

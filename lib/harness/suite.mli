@@ -32,14 +32,12 @@ val snapshot_json : per_workload list -> Hb_obs.Json.t
     document committed as [BENCH_hardbound.json]. *)
 
 val check_baseline :
-  ?tolerance:float ->
-  baseline:Hb_obs.Json.t ->
-  per_workload list ->
-  (unit, string list) result
+  baseline:Hb_obs.Json.t -> per_workload list -> (unit, string list) result
 (** Compare a freshly measured suite against a committed {!snapshot_json}
-    document.  [Error] lists every (workload, config) whose cycle count
-    drifted by more than [tolerance] (fraction of the recorded value,
-    default 0.02) and every pair the snapshot does not cover.  Raises
+    document, exactly: the simulator is deterministic, so [Error] lists
+    every (workload, config) whose instructions, uops or cycles differ
+    from the recorded value at all (one message per differing count), and
+    every pair the snapshot does not cover.  Raises
     [Hb_obs.Json.Parse_error] when [baseline] is not a snapshot. *)
 
 val wall_point :
@@ -49,9 +47,9 @@ val wall_point :
   Hb_obs.Json.t
 (** One host wall-clock trajectory point: wall_ms / sim_ips /
     gc_major_words for every (workload, tracked config) pair, tagged
-    with a label (typically the PR).  [extra] fields (e.g. the sharded
-    speedup table) are merged into the point.  Host-varying by
-    nature. *)
+    with a label (typically the PR) and the host's [nproc].  [extra]
+    fields (e.g. the sharded speedup table) are merged into the point.
+    Host-varying by nature. *)
 
 val append_wall :
   ?extra:(string * Hb_obs.Json.t) list ->

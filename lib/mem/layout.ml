@@ -38,14 +38,21 @@ let shadow_base = 0x80000000
     [addr] (which must be 4-byte aligned). *)
 let shadow_addr addr = shadow_base + (addr * 2)
 
-(** Tag-space byte address and intra-byte bit shift for [addr] under a tag
-    of [bits] bits per word (1 or 4). *)
-let tag_location ~bits addr =
-  let widx = addr / word in
-  match bits with
-  | 1 -> (tag_base + (widx / 8), widx mod 8, 0x1)
-  | 4 -> (tag_base + (widx / 2), (widx mod 2) * 4, 0xF)
-  | _ -> invalid_arg "tag_location: bits must be 1 or 4"
+(** Tag-space addressing under a tag of [bits] bits per word (1 or 4):
+    word [w = addr / 4] owns bits [w*bits .. w*bits+bits-1] of the tag
+    space, so its tag lives in byte [tag_addr], [tag_shift] bits up, under
+    [tag_mask].  Three functions rather than one returning a tuple: every
+    checked load and store computes them, and none of them allocates. *)
+let tag_addr ~bits addr = tag_base + (((addr lsr 2) * bits) lsr 3)
+
+let tag_shift ~bits addr = ((addr lsr 2) * bits) land 7
+
+let tag_mask ~bits = (1 lsl bits) - 1
+
+(** The inverse walk, for scans over the tag space: the data word whose
+    tag sits in slot [slot] (0 .. 8/bits - 1) of tag byte [tag_byte]. *)
+let tagged_word ~bits tag_byte slot =
+  ((((tag_byte - tag_base) * 8) + (slot * bits)) / bits) * word
 
 type region = Code | Globals | Heap | Stack | Tag_space | Shadow_space | Other
 

@@ -1,6 +1,8 @@
 (** Sparse paged physical memory.  Pages are allocated (zero-filled) on
     first touch; the per-region touched-page counts drive the paper's
-    Figure 6 (memory overhead in distinct 4KB pages). *)
+    Figure 6 (memory overhead in distinct 4KB pages).  Pages are found
+    through a two-level page table (1024 leaves of 1024 pages), so an
+    access neither hashes nor allocates. *)
 
 type t
 
@@ -34,7 +36,9 @@ val pages_touched_in : t -> Layout.region -> int
 
 val fold_pages : t -> init:'a -> f:('a -> int -> Bytes.t -> 'a) -> 'a
 (** Iterate live pages as [(page_index, bytes)] in increasing page-index
-    order (deterministic).  The callback must not mutate the pages. *)
+    order (deterministic).  The walk reads the page table live, so the
+    callback must not mutate the memory: no writes and no creating reads
+    (use {!peek_u8}/{!peek_u32}). *)
 
 val export_pages : t -> (int * Bytes.t) array
 (** Deep-copied live pages, sorted by page index — the raw material of a

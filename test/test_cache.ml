@@ -108,6 +108,163 @@ let test_hierarchy_classes () =
   Alcotest.(check bool) "tag cold for data-warm block (L2 hit though)" true
     (s > 0)
 
+(* ---- reference model ------------------------------------------------- *)
+
+(* Reference model of a set-associative LRU cache, written the plain way:
+   a closure scans the ways and returns [Some way].  [Sa_cache] must
+   match it access for access, victim for victim. *)
+module Ref_cache = struct
+  type t = {
+    block_bits : int;
+    set_bits : int;
+    assoc : int;
+    tags : int array;
+    stamp : int array;
+    mutable clock : int;
+  }
+
+  let create ~size_bytes ~assoc ~block_bytes =
+    let sets = size_bytes / (assoc * block_bytes) in
+    {
+      block_bits = Sa_cache.log2 block_bytes;
+      set_bits = Sa_cache.log2 sets;
+      assoc;
+      tags = Array.make (sets * assoc) (-1);
+      stamp = Array.make (sets * assoc) 0;
+      clock = 0;
+    }
+
+  let access t addr =
+    t.clock <- t.clock + 1;
+    let block = addr lsr t.block_bits in
+    let set = block land ((1 lsl t.set_bits) - 1) in
+    let tag = block lsr t.set_bits in
+    let base = set * t.assoc in
+    let rec find i =
+      if i >= t.assoc then None
+      else if t.tags.(base + i) = tag then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | Some i ->
+      t.stamp.(base + i) <- t.clock;
+      true
+    | None ->
+      let victim = ref 0 in
+      for i = 1 to t.assoc - 1 do
+        if t.stamp.(base + i) < t.stamp.(base + !victim) then victim := i
+      done;
+      t.tags.(base + !victim) <- tag;
+      t.stamp.(base + !victim) <- t.clock;
+      false
+
+  let probe t addr =
+    let block = addr lsr t.block_bits in
+    let set = block land ((1 lsl t.set_bits) - 1) in
+    let tag = block lsr t.set_bits in
+    let base = set * t.assoc in
+    let rec find i =
+      i < t.assoc && (t.tags.(base + i) = tag || find (i + 1))
+    in
+    find 0
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamp 0 (Array.length t.stamp) 0;
+    t.clock <- 0
+end
+
+type cache_op = Access of int | Probe of int | Flush | Reset_stats
+
+let show_op = function
+  | Access a -> Printf.sprintf "access 0x%x" a
+  | Probe a -> Printf.sprintf "probe 0x%x" a
+  | Flush -> "flush"
+  | Reset_stats -> "reset"
+
+(* Mostly accesses over a span a few times the cache's reach, so sets
+   conflict and evict; flushes reset every stamp to 0, so the following
+   misses pick victims among ties. *)
+let ops_arb span =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (30, map (fun a -> Access a) (int_bound span));
+        (4, map (fun a -> Probe a) (int_bound span));
+        (1, return Flush);
+        (1, return Reset_stats);
+      ]
+  in
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 400) op)
+
+(* geometries: 2-way, 4-way, direct-mapped, fully associative, and the
+   TLB's 1-byte blocks *)
+let geometries =
+  [ (1024, 2, 32); (256, 4, 32); (128, 1, 32); (128, 4, 32); (64, 4, 1) ]
+
+let prop_cache_matches_reference (size_bytes, assoc, block_bytes) =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "sa-cache = reference model (%dB, %d-way, %dB blocks)"
+         size_bytes assoc block_bytes)
+    ~count:200 (ops_arb (4 * size_bytes))
+    (fun ops ->
+      let c = Sa_cache.create ~name:"t" ~size_bytes ~assoc ~block_bytes in
+      let r = Ref_cache.create ~size_bytes ~assoc ~block_bytes in
+      let misses = ref 0 in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | Access a ->
+              let hit = Sa_cache.access c a in
+              if not hit then incr misses;
+              hit = Ref_cache.access r a
+            | Probe a -> Sa_cache.probe c a = Ref_cache.probe r a
+            | Flush ->
+              Sa_cache.flush c;
+              Ref_cache.flush r;
+              true
+            | Reset_stats ->
+              Sa_cache.reset_stats c;
+              misses := 0;
+              true
+          in
+          (* identical tag and stamp arrays: the same victims, ties
+             included *)
+          same_result && c.Sa_cache.tags = r.Ref_cache.tags
+          && c.Sa_cache.stamp = r.Ref_cache.stamp
+          && c.Sa_cache.clock = r.Ref_cache.clock
+          && c.Sa_cache.misses = !misses)
+        ops)
+
+let prop_tlb_matches_reference =
+  let entries = 16 and assoc = 4 and page_bytes = 4096 in
+  QCheck.Test.make ~name:"tlb = reference model over page numbers" ~count:200
+    (ops_arb (4 * entries * page_bytes))
+    (fun ops ->
+      let t = Tlb.create ~name:"t" ~entries ~assoc ~page_bytes in
+      let r = Ref_cache.create ~size_bytes:entries ~assoc ~block_bytes:1 in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Access a | Probe a ->
+             (* a TLB has no probe: both kinds look the page up *)
+             Tlb.access t a = Ref_cache.access r (a lsr 12)
+           | Flush ->
+             Tlb.flush t;
+             Ref_cache.flush r;
+             true
+           | Reset_stats ->
+             Tlb.reset_stats t;
+             true)
+          && t.Tlb.cache.Sa_cache.tags = r.Ref_cache.tags
+          && t.Tlb.cache.Sa_cache.stamp = r.Ref_cache.stamp)
+        ops)
+
 (* property: stalls are always one of the composable penalty sums *)
 let prop_stall_values =
   QCheck.Test.make ~name:"stall values well-formed" ~count:1000
@@ -128,8 +285,17 @@ let () =
           tc "conflict thrash" test_cache_conflict_vs_capacity;
           tc "validation" test_cache_validation;
           tc "flush/reset" test_cache_flush_reset;
-        ] );
-      ("tlb", [ tc "paging" test_tlb ]);
+        ]
+        @ List.map
+            (fun g ->
+              QCheck_alcotest.to_alcotest (prop_cache_matches_reference g))
+            geometries );
+      ( "tlb",
+        [
+          tc "paging" test_tlb;
+          QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
+        ]
+      );
       ( "hierarchy",
         [
           tc "paper parameters" test_hierarchy_params;

@@ -9,22 +9,26 @@ open Hb_isa.Types
 
 (* ---- Meta ---------------------------------------------------------- *)
 
+let in_bounds (m : Meta.t) ~addr ~width =
+  Meta.covers ~base:m.base ~bound:m.bound ~addr ~width
+
 let test_meta_basics () =
   Alcotest.(check bool) "non-pointer" false (Meta.is_pointer Meta.non_pointer);
+  Alcotest.(check bool) "bounded ints" true (Meta.bounded ~base:0 ~bound:1);
   let m = Meta.make ~base:0x1000 ~size:4 in
   Alcotest.(check bool) "pointer" true (Meta.is_pointer m);
   Alcotest.(check int) "size" 4 (Meta.size m);
-  Alcotest.(check bool) "in bounds" true (Meta.in_bounds m ~addr:0x1000 ~width:4);
-  Alcotest.(check bool) "at bound" false (Meta.in_bounds m ~addr:0x1004 ~width:1);
+  Alcotest.(check bool) "in bounds" true (in_bounds m ~addr:0x1000 ~width:4);
+  Alcotest.(check bool) "at bound" false (in_bounds m ~addr:0x1004 ~width:1);
   Alcotest.(check bool) "below base" false
-    (Meta.in_bounds m ~addr:0xFFF ~width:1);
+    (in_bounds m ~addr:0xFFF ~width:1);
   Alcotest.(check bool) "straddles bound" false
-    (Meta.in_bounds m ~addr:0x1002 ~width:4);
+    (in_bounds m ~addr:0x1002 ~width:4);
   Alcotest.(check bool) "unsafe is pointer" true (Meta.is_pointer Meta.unsafe);
   Alcotest.(check bool) "unsafe passes everything" true
-    (Meta.in_bounds Meta.unsafe ~addr:0xDEADBEE ~width:4);
+    (in_bounds Meta.unsafe ~addr:0xDEADBEE ~width:4);
   Alcotest.(check bool) "code pointer fails data checks" false
-    (Meta.in_bounds Meta.code_pointer ~addr:0x1000 ~width:4)
+    (in_bounds Meta.code_pointer ~addr:0x1000 ~width:4)
 
 (* ---- Encoding: specified behaviours -------------------------------- *)
 
@@ -141,6 +145,27 @@ let prop_nonptr_roundtrip scheme =
     QCheck.(int_bound 0xFFFFFFF)
     (fun v -> Encoding.roundtrip_exact scheme ~value:v Meta.non_pointer)
 
+(* the classifier, which takes unboxed bounds, agrees with the shape of
+   [encode] wherever [encode] accepts the pointer; so does [needs_shadow] *)
+let prop_classify_matches_encode scheme =
+  QCheck.Test.make
+    ~name:("classify = shape of encode " ^ Encoding.scheme_name scheme)
+    ~count:2000
+    QCheck.(pair bool arb_ptr)
+    (fun (nonptr, (value, m)) ->
+      let m = if nonptr then Meta.non_pointer else m in
+      let kind =
+        Encoding.classify scheme ~value ~base:m.Meta.base ~bound:m.Meta.bound
+      in
+      kind
+      = (match Encoding.encode scheme ~value m with
+         | Encoding.Enc_non_pointer _ -> Encoding.Non_pointer
+         | Encoding.Enc_inline _ -> Encoding.Narrow
+         | Encoding.Enc_shadow _ -> Encoding.Wide)
+      && Encoding.needs_shadow scheme ~value ~base:m.Meta.base
+           ~bound:m.Meta.bound
+         = (kind = Encoding.Wide))
+
 (* decode of any encode never reports a *different* metadata: if it decodes
    inline, the metadata is exactly the original. *)
 let prop_inline_faithful scheme =
@@ -158,58 +183,71 @@ let prop_inline_faithful scheme =
 (* ---- Checker -------------------------------------------------------- *)
 
 let test_checker_modes () =
-  let m = Meta.make ~base:0x1000 ~size:4 in
+  let base = 0x1000 and bound = 0x1004 in
   (* Off: nothing raises, nothing checked *)
   Alcotest.(check bool) "off" false
-    (Checker.check Checker.Off m ~pc:0 ~addr:0x2000 ~value:0x2000 ~width:4
-       ~is_store:false);
+    (Checker.check Checker.Off ~base ~bound ~pc:0 ~addr:0x2000 ~value:0x2000
+       ~width:4 ~is_store:false);
   (* Malloc-only: pointers checked, non-pointers allowed *)
   Alcotest.(check bool) "malloc-only non-pointer" false
-    (Checker.check Checker.Malloc_only Meta.non_pointer ~pc:0 ~addr:0x2000
+    (Checker.check Checker.Malloc_only ~base:0 ~bound:0 ~pc:0 ~addr:0x2000
        ~value:0x2000 ~width:4 ~is_store:false);
   Alcotest.(check bool) "malloc-only pointer in bounds" true
-    (Checker.check Checker.Malloc_only m ~pc:0 ~addr:0x1000 ~value:0x1000
-       ~width:4 ~is_store:false);
+    (Checker.check Checker.Malloc_only ~base ~bound ~pc:0 ~addr:0x1000
+       ~value:0x1000 ~width:4 ~is_store:false);
   (try
      ignore
-       (Checker.check Checker.Malloc_only m ~pc:0 ~addr:0x1004 ~value:0x1004
-          ~width:1 ~is_store:true);
+       (Checker.check Checker.Malloc_only ~base ~bound ~pc:0 ~addr:0x1004
+          ~value:0x1004 ~width:1 ~is_store:true);
      Alcotest.fail "expected bounds violation"
    with Checker.Bounds_violation v ->
      Alcotest.(check bool) "is store" true v.Checker.is_store;
-     Alcotest.(check int) "value recorded" 0x1004 v.Checker.value);
+     Alcotest.(check int) "value recorded" 0x1004 v.Checker.value;
+     Alcotest.(check bool) "bounds recorded" true
+       (Meta.equal (Meta.make ~base ~size:4) v.Checker.meta));
   (* Full: non-pointer deref raises *)
   (try
      ignore
-       (Checker.check Checker.Full Meta.non_pointer ~pc:3 ~addr:0x2000
+       (Checker.check Checker.Full ~base:0 ~bound:0 ~pc:3 ~addr:0x2000
           ~value:0x2000 ~width:4 ~is_store:false);
      Alcotest.fail "expected non-pointer exception"
    with Checker.Non_pointer_deref v ->
-     Alcotest.(check int) "pc recorded" 3 v.Checker.pc)
+     Alcotest.(check int) "pc recorded" 3 v.Checker.pc;
+     Alcotest.(check bool) "non-pointer recorded" false
+       (Meta.is_pointer v.Checker.meta))
 
 (* ---- Propagation (Figure 3) ----------------------------------------- *)
 
 let test_propagation () =
+  let operand =
+    Alcotest.testable
+      (fun fmt o ->
+        Format.pp_print_string fmt
+          (match o with
+           | Propagate.First -> "first"
+           | Propagate.Second -> "second"
+           | Propagate.Neither -> "neither"))
+      ( = )
+  in
   let p = Meta.make ~base:0x1000 ~size:8 in
-  let q = Meta.make ~base:0x2000 ~size:8 in
   let np = Meta.non_pointer in
+  let binop op (m1 : Meta.t) =
+    Propagate.binop op ~base1:m1.base ~bound1:m1.bound
+  in
   (* (A) add with immediate: copy *)
-  Alcotest.(check bool) "add imm copies" true
-    (Meta.equal p (Propagate.binop_imm Add p));
-  (* (B) reg-reg: first pointer wins *)
-  Alcotest.(check bool) "ptr + nonptr" true
-    (Meta.equal p (Propagate.binop Add p np));
-  Alcotest.(check bool) "nonptr + ptr" true
-    (Meta.equal q (Propagate.binop Add np q));
-  Alcotest.(check bool) "ptr + ptr: first" true
-    (Meta.equal p (Propagate.binop Add p q));
-  Alcotest.(check bool) "sub propagates" true
-    (Meta.equal p (Propagate.binop Sub p np));
+  Alcotest.(check bool) "add imm copies" true (Propagate.propagates Add);
+  (* (B) reg-reg: first pointer wins, else the second operand's bounds *)
+  Alcotest.(check operand) "ptr + x: first" Propagate.First (binop Add p);
+  Alcotest.(check operand) "nonptr + x: second" Propagate.Second
+    (binop Add np);
+  Alcotest.(check operand) "sub propagates" Propagate.First (binop Sub p);
+  Alcotest.(check operand) "unsafe is a pointer" Propagate.First
+    (binop Add Meta.unsafe);
   (* non-propagating ops clear *)
   List.iter
     (fun op ->
-      Alcotest.(check bool) "cleared" true
-        (Meta.equal np (Propagate.binop op p q)))
+      Alcotest.(check bool) "imm cleared" false (Propagate.propagates op);
+      Alcotest.(check operand) "cleared" Propagate.Neither (binop op p))
     [ Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sar; Slt; Seq ];
   Alcotest.(check bool) "setbound" true
     (Meta.equal
@@ -238,6 +276,7 @@ let () =
               qt (prop_roundtrip s);
               qt (prop_nonptr_roundtrip s);
               qt (prop_inline_faithful s);
+              qt (prop_classify_matches_encode s);
             ])
           Encoding.all_schemes );
       ("checker", [ tc "modes" test_checker_modes ]);

@@ -34,6 +34,7 @@ let check_status name expect st =
     | `Non_pointer, Machine.Non_pointer_violation _ -> true
     | `Temporal, Machine.Temporal_violation _ -> true
     | `Fault, Machine.Fault _ -> true
+    | `Fuel, Machine.Out_of_fuel -> true
     | _ -> false
   in
   Alcotest.(check bool)
@@ -308,6 +309,28 @@ let test_null_fault () =
   in
   let st, _ = run ~config:Machine.baseline_config body in
   check_status "null deref" `Fault st
+
+(* The loader skips the globals image's zero bytes a 64-bit word at a
+   time: every non-zero byte lands, wherever it sits in its word or in the
+   ragged tail, and only pages holding one are materialized. *)
+let test_loader_skips_zeros () =
+  let len = (5 * Layout.page_size) + 13 in
+  let nonzero = [ 0; 7; 8; 4099; (3 * Layout.page_size) + 5; len - 1 ] in
+  let globals =
+    String.init len (fun i ->
+        if List.mem i nonzero then Char.chr (1 + (i mod 255)) else '\000')
+  in
+  let m =
+    Machine.create ~config:Machine.baseline_config ~globals (link_one exit0)
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "byte %d" i) (1 + (i mod 255))
+        (Hb_mem.Physmem.peek_u8 m.Machine.mem (Layout.globals_base + i)))
+    nonzero;
+  (* pages 0, 1, 3 and 5 hold a non-zero byte; 2 and 4 stay untouched *)
+  Alcotest.(check int) "globals pages" 4
+    (Hb_mem.Physmem.pages_touched_in m.Machine.mem Layout.Globals)
 
 (* Metadata micro-op accounting: storing+loading an uncompressed pointer
    charges metadata uops; a compressed one does not. *)
@@ -598,6 +621,44 @@ let test_float_ops () =
   check_status "float ok" `Exit st;
   Alcotest.(check string) "sqrt 9 = 3" "3" (Machine.output m)
 
+(* Allocation budget of the simulator's hot loop: minor-heap words per
+   simulated instruction over a 1M-instruction slice of two Olden
+   programs.  The memory, cache, checker and propagation paths allocate
+   nothing per access; what remains under HardBound is the encoding's
+   decode/encode results on word loads and stores and Intern11's side
+   store (about 2 words/instr; Nochecks about 0.05).  A hook that quietly
+   adds a per-step record or closure breaks the budget. *)
+let test_alloc_budget () =
+  let slice = 1_000_000 in
+  let words_per_instr ~mode ~scheme name =
+    let image, globals =
+      Hb_runtime.Build.compile ~mode (Hb_workloads.Workloads.find name).source
+    in
+    let config = Hb_runtime.Build.config_for ~scheme ~max_instrs:slice mode in
+    let m = Machine.create ~config ~globals image in
+    let w0 = Gc.minor_words () in
+    let st = Machine.run m in
+    let words = Gc.minor_words () -. w0 in
+    check_status (name ^ " ran the whole slice") `Fuel st;
+    words /. float_of_int m.Machine.stats.Hb_cpu.Stats.instructions
+  in
+  let budget label ~mode ~scheme limit =
+    List.iter
+      (fun name ->
+        let w = words_per_instr ~mode ~scheme name in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %.2f words/instr < %.0f" label name w limit)
+          true (w < limit))
+      [ "treeadd"; "em3d" ]
+  in
+  budget "nochecks" ~mode:Hb_minic.Codegen.Nochecks ~scheme:Encoding.Extern4
+    1.0;
+  List.iter
+    (fun scheme ->
+      budget (Encoding.scheme_name scheme) ~mode:Hb_minic.Codegen.Hardbound
+        ~scheme 5.0)
+    all_schemes
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cpu"
@@ -613,6 +674,7 @@ let () =
           tc "code pointer semantics" test_code_pointers;
           tc "unsafe escape hatch" test_unsafe_pointer;
           tc "null fault" test_null_fault;
+          tc "loader skips zero bytes" test_loader_skips_zeros;
           tc "metadata uop accounting" test_metadata_uops;
           tc "setbound with register size" test_setbound_reg_size;
           tc "setbound.narrow intersection" test_setbound_narrow;
@@ -621,6 +683,7 @@ let () =
           tc "stats invariants on workloads" test_stats_invariants_workload;
           tc "arithmetic and output" test_arith_and_output;
           tc "float operations" test_float_ops;
+          tc "allocation budget per instruction" test_alloc_budget;
           QCheck_alcotest.to_alcotest prop_alu_reference;
         ] );
     ]

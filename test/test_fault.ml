@@ -190,6 +190,47 @@ let test_injector_sites () =
         true seen)
     Injector.all_sites
 
+(* The target scans peek: they run inside [Physmem.fold_pages], which
+   forbids creating pages, and must not inflate the Figure-6 tag-page
+   count — on a Nochecks machine there is no tag page at all. *)
+let test_scan_creates_no_tag_pages () =
+  List.iter
+    (fun mode ->
+      let image, globals = Build.compile ~mode little_src in
+      let m = Machine.create ~config:(Build.config_for mode) ~globals image in
+      for _ = 1 to 5_000 do
+        Machine.step m
+      done;
+      let mem = m.Machine.mem in
+      let tag_pages () =
+        Hb_mem.Physmem.pages_touched_in mem Hb_mem.Layout.Tag_space
+      in
+      let before = tag_pages () in
+      let pages = Hb_mem.Physmem.pages_touched mem in
+      let tagged = Injector.tagged_data_words m in
+      let backed = Injector.shadow_backed_words m in
+      let name = Codegen.mode_name mode in
+      Alcotest.(check int) (name ^ ": tag pages unchanged") before
+        (tag_pages ());
+      Alcotest.(check int) (name ^ ": no page created") pages
+        (Hb_mem.Physmem.pages_touched mem);
+      (* every word the peeked scan reports is tagged *)
+      Array.iter
+        (fun addr ->
+          Alcotest.(check bool) (name ^ ": tagged word") true
+            (Machine.read_tag m addr <> 0))
+        tagged;
+      Alcotest.(check bool) (name ^ ": backed words are tagged") true
+        (Array.for_all (fun a -> Array.mem a tagged) backed);
+      match mode with
+      | Codegen.Nochecks ->
+        Alcotest.(check int) "nochecks: no tag page" 0 before;
+        Alcotest.(check int) "nochecks: nothing tagged" 0 (Array.length tagged)
+      | _ ->
+        Alcotest.(check bool) "hardbound: pointers in memory" true
+          (Array.length tagged > 0))
+    [ Codegen.Nochecks; Codegen.Hardbound ]
+
 let test_spec_parsing () =
   (match Injector.parse_spec "mem,tag:0.5:9" with
   | Ok s ->
@@ -333,6 +374,8 @@ let () =
         [
           Alcotest.test_case "sites" `Quick test_injector_sites;
           Alcotest.test_case "spec" `Quick test_spec_parsing;
+          Alcotest.test_case "target scan creates no tag pages" `Quick
+            test_scan_creates_no_tag_pages;
         ] );
       ( "campaign",
         [

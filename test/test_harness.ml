@@ -133,9 +133,81 @@ let test_temporal_report () =
   Alcotest.(check bool) "uaf detected" true (contains s "use-after-free");
   Alcotest.(check bool) "clean exit present" true (contains s "exited(0)")
 
-(* ---- wall-trend analysis (advisory) ----------------------------------- *)
+(* ---- performance-trajectory gate --------------------------------------- *)
 
 module Json = Hb_obs.Json
+
+(* One workload under the four tracked configurations. *)
+let power_suite =
+  lazy
+    (let w = Hb_workloads.Workloads.find "power" in
+     let hb s = Run.measure ~scheme:s ~mode:Codegen.Hardbound w in
+     [
+       {
+         Suite.name = "power";
+         baseline = Run.measure ~mode:Codegen.Nochecks w;
+         hb_extern4 = hb Encoding.Extern4;
+         hb_intern4 = hb Encoding.Intern4;
+         hb_intern11 = hb Encoding.Intern11;
+         softfat = None;
+         objtable = None;
+       };
+     ])
+
+(* Add [delta] to [field] of the run with config [config] in a snapshot
+   document. *)
+let doctor ~config ~field delta (doc : Json.t) =
+  let rec go = function
+    | Json.Obj kvs
+      when List.assoc_opt "config" kvs = Some (Json.String config) ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match v with
+             | Json.Int n when k = field -> (k, Json.Int (n + delta))
+             | _ -> (k, v))
+           kvs)
+    | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, go v)) kvs)
+    | Json.List l -> Json.List (List.map go l)
+    | j -> j
+  in
+  go doc
+
+(* The gate is exact: one cycle, one uop or one instruction off the
+   committed snapshot is reported, each on its own line. *)
+let test_baseline_gate_exact () =
+  let suite = Lazy.force power_suite in
+  let snap = Suite.snapshot_json suite in
+  (match Suite.check_baseline ~baseline:snap suite with
+   | Ok () -> ()
+   | Error msgs -> Alcotest.fail ("own snapshot: " ^ String.concat "; " msgs));
+  let doctored =
+    snap
+    |> doctor ~config:"baseline" ~field:"cycles" 1
+    |> doctor ~config:"hb-extern-4" ~field:"uops" (-1)
+    |> doctor ~config:"hb-intern-11" ~field:"instructions" 1
+  in
+  match Suite.check_baseline ~baseline:doctored suite with
+  | Ok () -> Alcotest.fail "a snapshot off by one count passed the gate"
+  | Error msgs ->
+    Alcotest.(check int) "one message per doctored count" 3 (List.length msgs);
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool) ("reports " ^ needle) true
+          (List.exists
+             (fun m -> String.length m >= String.length needle
+                       && String.sub m 0 (String.length needle) = needle)
+             msgs))
+      [ "power/baseline: cycles"; "power/hb-extern-4: uops";
+        "power/hb-intern-11: instructions" ]
+
+let test_wall_point_nproc () =
+  let point = Suite.wall_point ~label:"t" (Lazy.force power_suite) in
+  Alcotest.(check (option int)) "nproc stamped"
+    (Some (Domain.recommended_domain_count ()))
+    (Option.bind (Json.member "nproc" point) Json.to_int)
+
+(* ---- wall-trend analysis (advisory) ----------------------------------- *)
 
 let trajectory points =
   Json.Obj
@@ -269,6 +341,11 @@ let () =
           Alcotest.test_case "paper data complete" `Quick test_paper_data_complete;
           tc "figure printers" test_printers;
           tc "temporal report" test_temporal_report;
+        ] );
+      ( "gate",
+        [
+          tc "exact instruction/uop/cycle gate" test_baseline_gate_exact;
+          tc "wall point records nproc" test_wall_point_nproc;
         ] );
       ( "trend",
         [
