@@ -22,7 +22,6 @@ module Stats = Hb_cpu.Stats
 module Json = Hb_obs.Json
 module Trace = Hb_obs.Trace
 module Metrics = Hb_obs.Metrics
-module Profile = Hb_obs.Profile
 module Attr = Hb_obs.Attr
 module Diff = Hb_obs.Diff
 module Timeline = Hb_obs.Timeline
@@ -39,13 +38,9 @@ module Admission = Hb_serve.Admission
 
 let mode_conv =
   let parse s =
-    match s with
-    | "nochecks" | "none" -> Ok Codegen.Nochecks
-    | "hardbound" | "full" -> Ok Codegen.Hardbound
-    | "malloc-only" -> Ok Codegen.Hardbound_malloc_only
-    | "softfat" | "ccured" -> Ok Codegen.Softfat
-    | "objtable" | "jk" -> Ok Codegen.Objtable
-    | _ -> Error (`Msg ("unknown mode: " ^ s))
+    match Codegen.mode_of_name s with
+    | Some m -> Ok m
+    | None -> Error (`Msg ("unknown mode: " ^ s))
   in
   Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Codegen.mode_name m))
 
@@ -136,7 +131,8 @@ let profile =
   Arg.(value & flag
        & info [ "profile" ]
            ~doc:"Print a per-function flat profile (cycles, stall \
-                 decomposition, check micro-ops)")
+                 decomposition, check micro-ops): the per-PC attribution \
+                 summed by function")
 
 let metrics_json =
   Arg.(value & opt (some string) None
@@ -521,30 +517,33 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-(* Attach the requested observability hooks to a freshly-created machine.
-   Returns the finalizer that flushes/closes the trace sink. *)
-let setup_obs m ~trace_file ~trace_format ~trace_events ~trace_retires
-    ~profile =
+(* Attach the requested tracer to a freshly-created machine.  Returns the
+   finalizer that flushes/closes the trace sink. *)
+let setup_obs m ~trace_file ~trace_format ~trace_events ~trace_retires =
   let capacity = if trace_events > 0 then trace_events else 32 in
-  let close =
-    match trace_file with
-    | Some path ->
-      let sink = Trace.file_sink trace_format path in
-      Machine.attach_tracer m
-        (Trace.create ~sink:sink.Trace.write ~retires:trace_retires ~capacity
-           ());
-      sink.Trace.close
-    | None ->
-      if trace_events > 0 || trace_retires then
-        Machine.attach_tracer m
-          (Trace.create ~retires:trace_retires ~capacity ());
-      fun () -> ()
-  in
-  if profile then Machine.enable_profile m;
-  close
+  match trace_file with
+  | Some path ->
+    let sink = Trace.file_sink trace_format path in
+    Machine.attach_tracer m
+      (Trace.create ~sink:sink.Trace.write ~retires:trace_retires ~capacity ());
+    sink.Trace.close
+  | None ->
+    if trace_events > 0 || trace_retires then
+      Machine.attach_tracer m (Trace.create ~retires:trace_retires ~capacity ());
+    fun () -> ()
+
+(* The machine's metrics registry, plus the per-function [profile.*]
+   series when [--profile] asked for them (attribution alone exports
+   none).  Every registry the run publishes is built here. *)
+let machine_metrics m ~profile =
+  let reg = Machine.metrics m in
+  (match Machine.attr m with
+   | Some a when profile -> Attr.export_profile a reg
+   | _ -> ());
+  reg
 
 (* Everything printed after the run: status, violation report, stats,
-   profile, attribution, metrics snapshots.  [Machine.metrics] builds a
+   profile, attribution, metrics snapshots.  [machine_metrics] builds a
    fresh registry per call, so supervisor counters (hb.traps_total &c.)
    arrive via [extra_metrics], applied to each registry being dumped. *)
 let report m status ~label ~mode ~scheme ~stats ~stats_format ~profile
@@ -562,10 +561,9 @@ let report m status ~label ~mode ~scheme ~stats ~stats_format ~profile
     (match stats_format with
      | `Text -> print_endline (Stats.to_string m.Machine.stats)
      | `Json -> print_endline (Json.to_string_pretty (Stats.to_json m.Machine.stats)));
-  if profile then
-    (match Machine.profile m with
-     | Some p -> print_string (Profile.to_table p)
-     | None -> ());
+  (match Machine.attr m with
+   | Some a when profile -> print_string (Attr.function_table a)
+   | _ -> ());
   (* Per-PC attribution: table, dump, and the accounting identity — the
      per-PC sums must equal the global counters or the instrumentation
      itself is lying. *)
@@ -643,7 +641,7 @@ let report m status ~label ~mode ~scheme ~stats ~stats_format ~profile
        | Error msg -> Some msg)
   in
   let registry () =
-    let reg = Machine.metrics m in
+    let reg = machine_metrics m ~profile in
     extra_metrics reg;
     reg
   in
@@ -964,7 +962,7 @@ let run file workload mode scheme temporal stats stats_format asm emit_asm
     with_host_plane ~serve_port ~tick:progress_flag ~host_spans
       ~host_chrome ~fleet_on:(Fleet.active fleet) ~pr ~live_reg
     @@ fun () ->
-    let want_attr = attr_flag || attr_json <> None in
+    let want_attr = profile || attr_flag || attr_json <> None in
     let source, label, asm =
       match (file, workload) with
       | Some _, Some _ ->
@@ -1051,13 +1049,12 @@ let run file workload mode scheme temporal stats stats_format asm emit_asm
       let m = Machine.create ~config ~globals image in
       (* publish this machine to the live endpoint: /metrics scrapes its
          registry, /progress reads its instruction/cycle counters *)
-      live_reg := Some (fun () -> Machine.metrics m);
+      live_reg := Some (fun () -> machine_metrics m ~profile);
       Progress.set_poll pr (fun () ->
           let s = m.Machine.stats in
           (s.Stats.instructions, Stats.cycles s));
       let close_trace =
         setup_obs m ~trace_file ~trace_format ~trace_events ~trace_retires
-          ~profile
       in
       if want_attr then Machine.enable_attr ~line_base m;
       let want_flame =

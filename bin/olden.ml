@@ -133,17 +133,10 @@ let main () =
   let args = Array.to_list Sys.argv |> List.tl in
   let rec parse name mode scheme policy budget = function
     | [] -> (name, mode, scheme, policy, budget)
-    | "--mode" :: m :: rest ->
-      let mode =
-        match m with
-        | "nochecks" -> Codegen.Nochecks
-        | "hardbound" -> Codegen.Hardbound
-        | "malloc-only" -> Codegen.Hardbound_malloc_only
-        | "softfat" -> Codegen.Softfat
-        | "objtable" -> Codegen.Objtable
-        | _ -> usage ()
-      in
-      parse name mode scheme policy budget rest
+    | "--mode" :: m :: rest -> (
+      match Codegen.mode_of_name m with
+      | Some mode -> parse name mode scheme policy budget rest
+      | None -> usage ())
     | "--scheme" :: s :: rest -> (
       match Encoding.scheme_of_name s with
       | Some sc -> parse name mode sc policy budget rest

@@ -95,20 +95,21 @@ let () =
 
 let () =
   section "Observability: trace ring, violation report, flat profile";
-  (* Same buggy program, but with a tracer and the per-function profile
-     attached before running (the `hardbound_run` CLI flags --trace,
-     --trace-events and --profile do exactly this). *)
+  (* Same buggy program, but with a tracer and per-PC attribution
+     attached before running, the attribution printed grouped by function
+     (the `hardbound_run` CLI flags --trace, --trace-events and --profile
+     do exactly this). *)
   let mode = Codegen.Hardbound in
   let image, globals = Hb_runtime.Build.compile ~mode buggy_program in
   let config = Hb_runtime.Build.config_for mode in
   let m = Machine.create ~config ~globals image in
   Machine.attach_tracer m (Hb_obs.Trace.create ~capacity:4 ());
-  Machine.enable_profile m;
+  Machine.enable_attr ~line_base:Hb_runtime.Build.runtime_lines m;
   ignore (Machine.run m);
   (match Machine.violation_report m with
    | Some report -> print_string report
    | None -> ());
   print_newline ();
-  (match Machine.profile m with
-   | Some p -> print_string (Hb_obs.Profile.to_table p)
+  (match Machine.attr m with
+   | Some a -> print_string (Hb_obs.Attr.function_table a)
    | None -> ())

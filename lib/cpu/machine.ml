@@ -18,7 +18,7 @@ module Encoding = Hardbound.Encoding
 module Checker = Hardbound.Checker
 module Propagate = Hardbound.Propagate
 module Trace = Hb_obs.Trace
-module Profile = Hb_obs.Profile
+module Cost = Hb_obs.Cost
 module Attr = Hb_obs.Attr
 module Timeline = Hb_obs.Timeline
 module Flame = Hb_obs.Flame
@@ -113,18 +113,21 @@ type t = {
   (* Observability hooks: all default to off and cost a single [None] /
      [Off] check on their hot paths until attached. *)
   mutable tracer : Trace.t option;
-  mutable profile : prof option;
   mutable attr : Attr.t option;
   mutable timeline : Timeline.t option;
   mutable flame : flame option;
+  mutable readings : readings option;
+      (* set once attribution or the flame profiler is on: the one check
+         [step] makes for both *)
 }
 
-(** Per-function profile plus the pc → function-id map driving it. *)
-and prof = { prof : Profile.t; fn_ids : int array }
+(** The cumulative counters read around a charged instruction (see
+    [charge]), preallocated so that charging allocates nothing. *)
+and readings = { before : Cost.t; after : Cost.t }
 
-(** Calling-context tree plus the pc → function-id map its shadow call
-    stack pushes with. *)
-and flame = { cct : Flame.t; flame_ids : int array }
+(** Calling-context tree, the pc → function-id map its shadow call stack
+    pushes with, and the context the executing instruction charges. *)
+and flame = { cct : Flame.t; flame_ids : int array; mutable ctx : Cost.t }
 
 let fault m msg = raise (Machine_fault (Printf.sprintf "%s (pc=%d, fn=%s)" msg m.pc
   (if m.pc >= 0 && m.pc < Array.length m.image.fn_of_index then
@@ -176,10 +179,10 @@ let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
       halted = None;
       override = No_override;
       tracer = None;
-      profile = None;
       attr = None;
       timeline = None;
       flame = None;
+      readings = None;
     }
   in
   m.regs.(sp) <- Layout.stack_top;
@@ -275,25 +278,11 @@ let line_at m pc =
 
 let attach_tracer m tr = m.tracer <- Some tr
 
-(** Intern the image's function names to dense ids and start profiling.
-    Idempotent; all counts restart from zero. *)
-let enable_profile m =
-  let ids = Hashtbl.create 64 in
-  let names = ref [] in
-  let intern name =
-    match Hashtbl.find_opt ids name with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.replace ids name i;
-      names := name :: !names;
-      i
-  in
-  let fn_ids = Array.map intern m.image.fn_of_index in
-  let names = Array.of_list (List.rev !names) in
-  m.profile <- Some { prof = Profile.create ~names; fn_ids }
-
-let profile m = Option.map (fun p -> p.prof) m.profile
+(* Attribution and the flame profiler share [step]'s counter readings,
+   made when the first of them starts. *)
+let start_charging m =
+  if Option.is_none m.readings then
+    m.readings <- Some { before = Cost.create (); after = Cost.create () }
 
 (** Start per-PC cost attribution, one accumulator slot per linked code
     index.  [line_base] is the 1-based unit line where user source starts
@@ -301,7 +290,8 @@ let profile m = Option.map (fun p -> p.prof) m.profile
     {!Hb_runtime.Build.runtime_lines}); raw debug-map lines at or below it
     are runtime-prelude lines and are stored negated so reports render
     them [fn:rt.N] while user lines match the user's own source.
-    Idempotent; all counts restart from zero. *)
+    Grouped by function ({!Attr.by_function}) the same records are the
+    flat profile.  Idempotent; all counts restart from zero. *)
 let enable_attr ?(line_base = 0) m =
   let lines =
     Array.map
@@ -311,17 +301,18 @@ let enable_attr ?(line_base = 0) m =
         else -raw)
       m.image.line_of_index
   in
-  m.attr <- Some (Attr.create ~fns:m.image.fn_of_index ~lines)
+  m.attr <- Some (Attr.create ~fns:m.image.fn_of_index ~lines);
+  start_charging m
 
 let attr m = m.attr
 
 (** Start the calling-context profiler: intern the image's function names
-    to dense ids (the {!enable_profile} interner) and root the tree at the
-    current function.  The machine then maintains the shadow call stack at
-    its call/return sites and charges every retired instruction's
-    attributable deltas to the context on top.  [max_depth] bounds the
-    stack (deeper recursion clamps and counts truncations).  Idempotent;
-    the recording restarts from zero. *)
+    to dense ids and root the tree at the current function.  The machine
+    then maintains the shadow call stack at its call/return sites and
+    charges every retired instruction's attributable deltas to the
+    context on top.  [max_depth] bounds the stack (deeper recursion
+    clamps and counts truncations).  Idempotent; the recording restarts
+    from zero. *)
 let enable_flame ?max_depth m =
   let ids = Hashtbl.create 64 in
   let names = ref [] in
@@ -336,8 +327,9 @@ let enable_flame ?max_depth m =
   in
   let flame_ids = Array.map intern m.image.fn_of_index in
   let names = Array.of_list (List.rev !names) in
-  m.flame <-
-    Some { cct = Flame.create ?max_depth ~names ~root:(fn_at m m.pc) (); flame_ids }
+  let cct = Flame.create ?max_depth ~names ~root:(fn_at m m.pc) () in
+  m.flame <- Some { cct; flame_ids; ctx = (Flame.current cct).Flame.cost };
+  start_charging m
 
 let flame m = Option.map (fun f -> f.cct) m.flame
 
@@ -471,8 +463,10 @@ let emit m kind =
 
 (** Everything the machine knows, exported into one fresh registry:
     execution statistics, the cache hierarchy, the checker tally (a
-    process-wide accumulator — see {!Hardbound.Checker.tally}) and, if
-    profiling, the per-function profile. *)
+    process-wide accumulator — see {!Hardbound.Checker.tally}), the
+    metadata census and, with the flame profiler on, its gauges.  The
+    per-function [profile.*] series are the caller's to add
+    ({!Attr.export_profile}): attribution alone does not export them. *)
 let metrics m =
   let reg = Hb_obs.Metrics.create () in
   Stats.export m.stats reg;
@@ -481,9 +475,6 @@ let metrics m =
   (* metadata-footprint gauges: the census is peek-based (side-effect
      free), so the exposition covers it whether or not a timeline ran *)
   Timeline.export_census (census m) reg;
-  (match m.profile with
-   | Some p -> Profile.export p.prof reg
-   | None -> ());
   (match m.flame with
    | Some f -> Flame.export f.cct reg
    | None -> ());
@@ -577,33 +568,6 @@ let[@inline never] trace_hier_misses m cls addr =
   if mask land Hierarchy.miss_l2 <> 0 then
     miss "L2" p.Hierarchy.l2_miss_penalty
 
-(* Cold path of [hier_access]: charge the last-access miss mask to the
-   per-PC attribution slot of the instruction that issued the access
-   ([m.pc] still points at it — [exec] updates the pc last). *)
-let[@inline never] attr_hier_misses m (a : Attr.t) =
-  let mask = m.hier.Hierarchy.last_mask in
-  let pc = m.pc in
-  if mask land Hierarchy.miss_tlb <> 0 then
-    a.Attr.tlb_misses.(pc) <- a.Attr.tlb_misses.(pc) + 1;
-  if mask land Hierarchy.miss_l1 <> 0 then
-    a.Attr.l1_misses.(pc) <- a.Attr.l1_misses.(pc) + 1;
-  if mask land Hierarchy.miss_l2 <> 0 then
-    a.Attr.l2_misses.(pc) <- a.Attr.l2_misses.(pc) + 1
-
-(* Cold path of [hier_access]: charge the last-access miss mask to the
-   current calling context.  Safe to read the shadow stack here — call
-   and return instructions never issue hierarchy accesses, so the
-   context cannot be mid-transfer. *)
-let[@inline never] flame_hier_misses m (f : flame) =
-  let mask = m.hier.Hierarchy.last_mask in
-  let n = Flame.current f.cct in
-  if mask land Hierarchy.miss_tlb <> 0 then
-    n.Flame.tlb_misses <- n.Flame.tlb_misses + 1;
-  if mask land Hierarchy.miss_l1 <> 0 then
-    n.Flame.l1_misses <- n.Flame.l1_misses + 1;
-  if mask land Hierarchy.miss_l2 <> 0 then
-    n.Flame.l2_misses <- n.Flame.l2_misses + 1
-
 (* Shadow-call-stack maintenance — the flame plane's only transfer hooks,
    run behind the off-path [None] check at the [Call] / [Call_reg] / [Ret]
    sites in [exec].  Both run *after* the transfer commits (the pc already
@@ -616,24 +580,18 @@ let[@inline never] flame_ret (f : flame) = Flame.leave f.cct
 
 (* Route one access through the hierarchy; when a tracer is attached,
    expand any misses into per-level events using the hierarchy's
-   last-access mask, and when attribution is on, charge the same mask to
-   the issuing PC's miss counters.  The flame plane additionally counts
-   the touched page (program and metadata traffic alike — [cls] routed
-   tag/shadow addresses here too) and mirrors the miss charge onto the
-   current calling context. *)
+   last-access mask.  The flame plane counts the touched page (program
+   and metadata traffic alike — [cls] routed tag/shadow addresses here
+   too).  Per-PC and per-context miss counts need nothing here: they are
+   differences of the hierarchy's totals, taken by [charge]. *)
 let[@inline] hier_access m cls addr =
   let stall = Hierarchy.access m.hier cls addr in
   (match m.tracer with
    | None -> ()
    | Some _ -> if stall > 0 then trace_hier_misses m cls addr);
-  (match m.attr with
-   | None -> ()
-   | Some a -> if m.hier.Hierarchy.last_mask <> 0 then attr_hier_misses m a);
   (match m.flame with
    | None -> ()
-   | Some f ->
-     Flame.heat_touch f.cct (addr / Layout.page_size);
-     if m.hier.Hierarchy.last_mask <> 0 then flame_hier_misses m f);
+   | Some f -> Flame.heat_touch f.cct (addr / Layout.page_size));
   stall
 
 (* Current encoding kind of the memory word an aligned store is about to
@@ -1049,6 +1007,42 @@ let exec m i next =
    | Line _ -> fault m "unstripped line marker in code"
    | Nop -> m.pc <- next)
 
+(* The cumulative counters an instruction's cost is the difference of:
+   [Stats] and the hierarchy's per-level miss totals.  Every hierarchy
+   access happens inside [exec] while [m.pc] still names the issuing
+   instruction, so its misses arrive through the same difference. *)
+let read_counters m (c : Cost.t) =
+  let s = m.stats and h = m.hier in
+  let d = h.Hierarchy.data_stats
+  and b = h.Hierarchy.bb_stats
+  and g = h.Hierarchy.tag_stats in
+  c.instrs <- s.instructions;
+  c.uops <- s.uops;
+  c.data_stalls <- s.charged_data_stalls;
+  c.tag_stalls <- s.charged_tag_stalls;
+  c.bb_stalls <- s.charged_bb_stalls;
+  c.check_uops <- s.check_uops;
+  c.metadata_uops <- s.metadata_uops;
+  c.checked_derefs <- s.checked_derefs;
+  c.setbounds <- s.setbound_instrs;
+  c.tlb_misses <- d.tlb_misses + b.tlb_misses + g.tlb_misses;
+  c.l1_misses <- d.l1_misses + b.l1_misses + g.l1_misses;
+  c.l2_misses <- d.l2_misses + b.l2_misses + g.l2_misses
+
+(* The one charge site of per-PC attribution and the flame profiler: add
+   the counter differences across the instruction at [pc] to its PC's
+   record and to the calling context captured before [exec] (a call or
+   return's own cost belongs to the frame that issued it, not the one it
+   transfers into). *)
+let charge m { before; after } pc =
+  read_counters m after;
+  (match m.attr with
+   | None -> ()
+   | Some a -> Cost.add_diff a.Attr.costs.(pc) ~before ~after);
+  match m.flame with
+  | None -> ()
+  | Some f -> Cost.add_diff f.ctx ~before ~after
+
 let step m =
   if m.pc < 0 || m.pc >= Array.length m.image.code then
     fault m "pc out of code range";
@@ -1058,90 +1052,26 @@ let step m =
    | Some tr when Trace.trace_retires tr ->
      emit m (Trace.Retire { instr = Hb_isa.Printer.instr_str i })
    | _ -> ());
-  (match m.profile, m.attr, m.flame with
-  | None, None, None ->
-    m.stats.instructions <- m.stats.instructions + 1;
-    m.stats.uops <- m.stats.uops + 1;
-    exec m i next
-  | prof, at, fl ->
-    (* Snapshot the attributable counters, execute, charge the deltas to
-       the function (profile), the PC (attribution) and/or the calling
-       context (flame) the instruction belongs to.  The flame context is
-       captured *before* [exec]: a call or return instruction's own cost
-       belongs to the frame that issued it, not the one it transfers
-       into. *)
-    let pc0 = m.pc in
-    let fnode =
-      match fl with None -> None | Some f -> Some (Flame.current f.cct)
-    in
-    let s = m.stats in
-    let uops0 = s.Stats.uops
-    and data0 = s.Stats.charged_data_stalls
-    and tag0 = s.Stats.charged_tag_stalls
-    and bb0 = s.Stats.charged_bb_stalls
-    and chk0 = s.Stats.check_uops
-    and meta0 = s.Stats.metadata_uops
-    and deref0 = s.Stats.checked_derefs
-    and sb0 = s.Stats.setbound_instrs in
-    s.Stats.instructions <- s.Stats.instructions + 1;
-    s.Stats.uops <- s.Stats.uops + 1;
-    (* [finally]: a faulting instruction's uops and stalls must still be
-       attributed, or the totals drift from [Stats.cycles]. *)
-    Fun.protect
-      ~finally:(fun () ->
-        let duops = s.Stats.uops - uops0
-        and ddata = s.Stats.charged_data_stalls - data0
-        and dtag = s.Stats.charged_tag_stalls - tag0
-        and dbb = s.Stats.charged_bb_stalls - bb0
-        and dchk = s.Stats.check_uops - chk0
-        and dmeta = s.Stats.metadata_uops - meta0
-        and dderef = s.Stats.checked_derefs - deref0
-        and dsb = s.Stats.setbound_instrs - sb0 in
-        (match prof with
-         | None -> ()
-         | Some { prof = p; fn_ids } ->
-           let fid = fn_ids.(pc0) in
-           let open Profile in
-           let add (a : int array) d = if d <> 0 then a.(fid) <- a.(fid) + d in
-           p.instrs.(fid) <- p.instrs.(fid) + 1;
-           add p.uops duops;
-           add p.data_stalls ddata;
-           add p.tag_stalls dtag;
-           add p.bb_stalls dbb;
-           add p.check_uops dchk;
-           add p.metadata_uops dmeta;
-           add p.checked_derefs dderef;
-           add p.setbounds dsb);
-        (match at with
-         | None -> ()
-         | Some a ->
-           let open Attr in
-           let add (arr : int array) d =
-             if d <> 0 then arr.(pc0) <- arr.(pc0) + d
-           in
-           a.instrs.(pc0) <- a.instrs.(pc0) + 1;
-           add a.uops duops;
-           add a.data_stalls ddata;
-           add a.tag_stalls dtag;
-           add a.bb_stalls dbb;
-           add a.check_uops dchk;
-           add a.metadata_uops dmeta;
-           add a.checked_derefs dderef;
-           add a.setbounds dsb);
-        (match fnode with
-         | None -> ()
-         | Some n ->
-           let open Flame in
-           n.instrs <- n.instrs + 1;
-           n.uops <- n.uops + duops;
-           if ddata <> 0 then n.data_stalls <- n.data_stalls + ddata;
-           if dtag <> 0 then n.tag_stalls <- n.tag_stalls + dtag;
-           if dbb <> 0 then n.bb_stalls <- n.bb_stalls + dbb;
-           if dchk <> 0 then n.check_uops <- n.check_uops + dchk;
-           if dmeta <> 0 then n.metadata_uops <- n.metadata_uops + dmeta;
-           if dderef <> 0 then n.checked_derefs <- n.checked_derefs + dderef;
-           if dsb <> 0 then n.setbounds <- n.setbounds + dsb))
-      (fun () -> exec m i next));
+  (match m.readings with
+   | None ->
+     m.stats.instructions <- m.stats.instructions + 1;
+     m.stats.uops <- m.stats.uops + 1;
+     exec m i next
+   | Some r ->
+     let pc = m.pc in
+     (match m.flame with
+      | None -> ()
+      | Some f -> f.ctx <- (Flame.current f.cct).Flame.cost);
+     read_counters m r.before;
+     m.stats.instructions <- m.stats.instructions + 1;
+     m.stats.uops <- m.stats.uops + 1;
+     (* a faulting instruction's uops and stalls are charged too, or the
+        totals drift from [Stats.cycles] *)
+     (match exec m i next with
+      | () -> charge m r pc
+      | exception e ->
+        charge m r pc;
+        raise e));
   (* Timeline boundary: one [None] check on the fast path; the sample
      itself (counter snapshot + shadow census) lives in the never-inlined
      cold path. *)

@@ -50,7 +50,7 @@ val to_string : t -> string
 
 val fields : t -> (string * int) list
 (** Every field (plus derived [cycles]) as a flat association list — the
-    [expect] side of [Hb_obs.Attr.check] / [Hb_obs.Profile.check]. *)
+    [expect] side of [Hb_obs.Attr.check] / [Hb_obs.Flame.check]. *)
 
 val to_json : t -> Hb_obs.Json.t
 (** {!fields} as a flat JSON object. *)

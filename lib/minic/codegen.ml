@@ -33,6 +33,14 @@ let mode_name = function
   | Softfat -> "softfat"
   | Objtable -> "objtable"
 
+let mode_of_name = function
+  | "nochecks" | "none" -> Some Nochecks
+  | "hardbound" | "full" -> Some Hardbound
+  | "hardbound-malloc-only" | "malloc-only" -> Some Hardbound_malloc_only
+  | "softfat" | "ccured" -> Some Softfat
+  | "objtable" | "jk" -> Some Objtable
+  | _ -> None
+
 (** Machine enforcement mode matching a compilation mode. *)
 let machine_mode = function
   | Hardbound -> Hardbound.Checker.Full

@@ -23,6 +23,11 @@ type mode =
 
 val mode_name : mode -> string
 
+val mode_of_name : string -> mode option
+(** The inverse of {!mode_name}, plus the aliases [none], [full],
+    [malloc-only], [ccured] and [jk]: the one mode vocabulary of both
+    CLIs and daemon job specs. *)
+
 val machine_mode : mode -> Hardbound.Checker.mode
 (** The hardware enforcement mode matching a compilation mode (software
     schemes run with the HardBound hardware off). *)

@@ -1,58 +1,33 @@
 (** Per-PC cost attribution: the hardware-performance-counter view.
 
-    One dense accumulator slot per linked code index, charging the same
-    deltas the per-function {!Profile} charges — micro-ops, check and
-    metadata micro-ops, and the Figure-5 stall decomposition (data / tag /
-    base-bound) — plus per-level miss counts expanded from the cache
-    hierarchy's last-access miss mask.  The machine owns the increments
-    (plain array stores, like {!Profile}); when attribution is off it
-    skips this module entirely, so the retire path stays allocation-free.
+    One {!Cost} record per linked code index: micro-ops, check and
+    metadata micro-ops, the Figure-5 stall decomposition (data / tag /
+    base-bound) and per-level miss counts.  The machine owns the charges
+    (one difference of its cumulative counters per instruction, added to
+    this record and to the current {!Flame} context); when attribution is
+    off it skips this module entirely.
 
     Each PC also carries its enclosing function and source line (from the
     linker's debug map), so reports and {!Diff} tables name source lines
     instead of raw code indices.  Line numbers are 1-based lines of the
     MiniC translation unit; the runtime prelude's lines are stored negated
-    (rendered [fn:rt.N]) so workload lines match the user's source. *)
+    (rendered [fn:rt.N]) so workload lines match the user's source.
+    Summed per function, the same records are the [--profile] flat
+    profile ({!by_function}). *)
 
 type t = {
   fns : string array;   (* per-PC enclosing function *)
   lines : int array;    (* >0 user line, <0 negated runtime line, 0 unknown *)
-  instrs : int array;
-  uops : int array;
-  data_stalls : int array;
-  tag_stalls : int array;
-  bb_stalls : int array;
-  check_uops : int array;
-  metadata_uops : int array;
-  checked_derefs : int array;
-  setbounds : int array;
-  tlb_misses : int array;
-  l1_misses : int array;
-  l2_misses : int array;
+  costs : Cost.t array;
 }
 
 let create ~fns ~lines =
   let n = Array.length fns in
   if Array.length lines <> n then
     invalid_arg "Attr.create: fns/lines length mismatch";
-  {
-    fns;
-    lines;
-    instrs = Array.make n 0;
-    uops = Array.make n 0;
-    data_stalls = Array.make n 0;
-    tag_stalls = Array.make n 0;
-    bb_stalls = Array.make n 0;
-    check_uops = Array.make n 0;
-    metadata_uops = Array.make n 0;
-    checked_derefs = Array.make n 0;
-    setbounds = Array.make n 0;
-    tlb_misses = Array.make n 0;
-    l1_misses = Array.make n 0;
-    l2_misses = Array.make n 0;
-  }
+  { fns; lines; costs = Array.init n (fun _ -> Cost.create ()) }
 
-let size t = Array.length t.instrs
+let size t = Array.length t.costs
 
 (** Render a PC's location: [fn:line] for user code, [fn:rt.line] for the
     runtime prelude, bare [fn] when the compiler emitted no marker. *)
@@ -62,110 +37,52 @@ let loc_str (t : t) pc =
   else if line < 0 then Printf.sprintf "%s:rt.%d" fn (-line)
   else fn
 
-type row = {
-  pc : int;
-  fn : string;
-  line : int;
-  loc : string;
-  instrs : int;
-  uops : int;
-  cycles : int;
-  data_stalls : int;
-  tag_stalls : int;
-  bb_stalls : int;
-  check_uops : int;
-  metadata_uops : int;
-  checked_derefs : int;
-  setbounds : int;
-  tlb_misses : int;
-  l1_misses : int;
-  l2_misses : int;
-}
-
-let cycles_of (t : t) pc =
-  t.uops.(pc) + t.data_stalls.(pc) + t.tag_stalls.(pc) + t.bb_stalls.(pc)
+type row = { pc : int; fn : string; line : int; loc : string; cost : Cost.t }
 
 let row_of (t : t) pc =
-  {
-    pc;
-    fn = t.fns.(pc);
-    line = t.lines.(pc);
-    loc = loc_str t pc;
-    instrs = t.instrs.(pc);
-    uops = t.uops.(pc);
-    cycles = cycles_of t pc;
-    data_stalls = t.data_stalls.(pc);
-    tag_stalls = t.tag_stalls.(pc);
-    bb_stalls = t.bb_stalls.(pc);
-    check_uops = t.check_uops.(pc);
-    metadata_uops = t.metadata_uops.(pc);
-    checked_derefs = t.checked_derefs.(pc);
-    setbounds = t.setbounds.(pc);
-    tlb_misses = t.tlb_misses.(pc);
-    l1_misses = t.l1_misses.(pc);
-    l2_misses = t.l2_misses.(pc);
-  }
+  { pc; fn = t.fns.(pc); line = t.lines.(pc); loc = loc_str t pc;
+    cost = t.costs.(pc) }
+
+let executed t pc = t.costs.(pc).Cost.instrs > 0
 
 (** Executed PCs, hottest (most cycles) first; ties break on pc so the
     order is deterministic. *)
 let rows t =
   let out = ref [] in
   for pc = size t - 1 downto 0 do
-    if t.instrs.(pc) > 0 then out := row_of t pc :: !out
+    if executed t pc then out := row_of t pc :: !out
   done;
-  List.sort (fun a b -> compare (b.cycles, a.pc) (a.cycles, b.pc)) !out
+  List.sort
+    (fun a b ->
+      compare (Cost.cycles b.cost, a.pc) (Cost.cycles a.cost, b.pc))
+    !out
 
-(** Sums over every PC, keyed by the {!Stats} field each column must
-    reconcile with (the accounting identity the tests enforce). *)
-let totals (t : t) =
-  let sum a = Array.fold_left ( + ) 0 a in
-  let uops = sum t.uops in
-  let stalls = sum t.data_stalls + sum t.tag_stalls + sum t.bb_stalls in
-  [
-    ("instructions", sum t.instrs);
-    ("uops", uops);
-    ("cycles", uops + stalls);
-    ("charged_data_stalls", sum t.data_stalls);
-    ("charged_tag_stalls", sum t.tag_stalls);
-    ("charged_bb_stalls", sum t.bb_stalls);
-    ("check_uops", sum t.check_uops);
-    ("metadata_uops", sum t.metadata_uops);
-    ("checked_derefs", sum t.checked_derefs);
-    ("setbound_instrs", sum t.setbounds);
-  ]
+let total t = Cost.sum (Array.to_list t.costs)
 
-(** Compare {!totals} against the global counters (e.g. [Stats.fields]);
-    every key present on both sides must agree exactly. *)
+let totals t = Cost.totals (total t)
+
 let check t ~expect =
-  let bad =
-    List.filter_map
-      (fun (k, v) ->
-        match List.assoc_opt k expect with
-        | Some e when e <> v ->
-          Some (Printf.sprintf "%s: attributed %d <> global %d" k v e)
-        | _ -> None)
-      (totals t)
-  in
-  match bad with
-  | [] -> Ok ()
-  | msgs -> Error ("per-PC attribution leak: " ^ String.concat "; " msgs)
+  Cost.check ~label:"per-PC attribution leak" (total t) ~expect
+
+let pct part whole =
+  if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
 let to_table ?(top = 10) t =
   let rs = rows t in
-  let total = List.fold_left (fun a (r : row) -> a + r.cycles) 0 rs in
+  let total = List.fold_left (fun a r -> a + Cost.cycles r.cost) 0 rs in
   let shown = if top > 0 then List.filteri (fun i _ -> i < top) rs else rs in
   let b = Buffer.create 1024 in
   Printf.bprintf b "%6s %-28s %10s %6s %8s %8s %8s %8s %6s %6s %5s\n" "pc"
     "location" "cycles" "cyc%" "instrs" "d-stall" "t-stall" "bb-stall"
     "chk" "meta" "setb";
   List.iter
-    (fun (r : row) ->
+    (fun r ->
+      let c = r.cost in
       Printf.bprintf b "%6d %-28s %10d %5.1f%% %8d %8d %8d %8d %6d %6d %5d\n"
-        r.pc r.loc r.cycles
-        (if total = 0 then 0.0
-         else 100.0 *. float_of_int r.cycles /. float_of_int total)
-        r.instrs r.data_stalls r.tag_stalls r.bb_stalls r.check_uops
-        r.metadata_uops r.setbounds)
+        r.pc r.loc (Cost.cycles c)
+        (pct (Cost.cycles c) total)
+        c.instrs c.data_stalls c.tag_stalls c.bb_stalls c.check_uops
+        c.metadata_uops c.setbounds)
     shown;
   let omitted = List.length rs - List.length shown in
   if omitted > 0 then
@@ -174,25 +91,26 @@ let to_table ?(top = 10) t =
   Printf.bprintf b "%6s %-28s %10d %5.1f%%\n" "" "TOTAL" total 100.0;
   Buffer.contents b
 
-let row_json (r : row) =
+let row_json r =
+  let c = r.cost in
   Json.Obj
     [
       ("pc", Json.Int r.pc);
       ("fn", Json.String r.fn);
       ("line", Json.Int r.line);
-      ("instrs", Json.Int r.instrs);
-      ("uops", Json.Int r.uops);
-      ("cycles", Json.Int r.cycles);
-      ("data_stalls", Json.Int r.data_stalls);
-      ("tag_stalls", Json.Int r.tag_stalls);
-      ("bb_stalls", Json.Int r.bb_stalls);
-      ("check_uops", Json.Int r.check_uops);
-      ("metadata_uops", Json.Int r.metadata_uops);
-      ("checked_derefs", Json.Int r.checked_derefs);
-      ("setbounds", Json.Int r.setbounds);
-      ("tlb_misses", Json.Int r.tlb_misses);
-      ("l1_misses", Json.Int r.l1_misses);
-      ("l2_misses", Json.Int r.l2_misses);
+      ("instrs", Json.Int c.instrs);
+      ("uops", Json.Int c.uops);
+      ("cycles", Json.Int (Cost.cycles c));
+      ("data_stalls", Json.Int c.data_stalls);
+      ("tag_stalls", Json.Int c.tag_stalls);
+      ("bb_stalls", Json.Int c.bb_stalls);
+      ("check_uops", Json.Int c.check_uops);
+      ("metadata_uops", Json.Int c.metadata_uops);
+      ("checked_derefs", Json.Int c.checked_derefs);
+      ("setbounds", Json.Int c.setbounds);
+      ("tlb_misses", Json.Int c.tlb_misses);
+      ("l1_misses", Json.Int c.l1_misses);
+      ("l2_misses", Json.Int c.l2_misses);
     ]
 
 (** Deterministic dump: [meta] fields (workload/mode/scheme labels) first,
@@ -200,7 +118,7 @@ let row_json (r : row) =
 let to_json ?(meta = []) t =
   let sites = ref [] in
   for pc = size t - 1 downto 0 do
-    if t.instrs.(pc) > 0 then sites := row_json (row_of t pc) :: !sites
+    if executed t pc then sites := row_json (row_of t pc) :: !sites
   done;
   Json.Obj
     (meta
@@ -209,6 +127,51 @@ let to_json ?(meta = []) t =
           Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (totals t)) );
         ("sites", Json.List !sites);
       ])
+
+(* ---- per-function profile -------------------------------------------- *)
+
+(** The executed sites summed per enclosing function, hottest first; ties
+    break on the name so the order is deterministic. *)
+let by_function t =
+  let groups = Hashtbl.create 64 in
+  Array.iteri
+    (fun pc c ->
+      if executed t pc then
+        let fn = t.fns.(pc) in
+        Hashtbl.replace groups fn
+          (c :: Option.value ~default:[] (Hashtbl.find_opt groups fn)))
+    t.costs;
+  List.sort
+    (fun (fa, a) (fb, b) -> compare (Cost.cycles b, fa) (Cost.cycles a, fb))
+    (Hashtbl.fold (fun fn cs acc -> (fn, Cost.sum cs) :: acc) groups [])
+
+let function_table t =
+  let rs = by_function t in
+  let total = List.fold_left (fun a (_, c) -> a + Cost.cycles c) 0 rs in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%-20s %10s %6s %10s %9s %9s %9s %7s %7s\n" "function"
+    "cycles" "cyc%" "instrs" "d-stall" "t-stall" "bb-stall" "chk-uop"
+    "meta-uop";
+  List.iter
+    (fun (fn, (c : Cost.t)) ->
+      Printf.bprintf b "%-20s %10d %5.1f%% %10d %9d %9d %9d %7d %7d\n" fn
+        (Cost.cycles c)
+        (pct (Cost.cycles c) total)
+        c.instrs c.data_stalls c.tag_stalls c.bb_stalls c.check_uops
+        c.metadata_uops)
+    rs;
+  Printf.bprintf b "%-20s %10d %5.1f%%\n" "TOTAL" total 100.0;
+  Buffer.contents b
+
+let export_profile t (m : Metrics.t) =
+  List.iter
+    (fun (fn, (c : Cost.t)) ->
+      let labels = [ ("fn", fn) ] in
+      Metrics.set_counter m ~labels "profile.cycles" (Cost.cycles c);
+      Metrics.set_counter m ~labels "profile.instructions" c.instrs;
+      Metrics.set_counter m ~labels "profile.check_uops" c.check_uops;
+      Metrics.set_counter m ~labels "profile.metadata_uops" c.metadata_uops)
+    (by_function t)
 
 (* ---- CLI adapter ----------------------------------------------------- *)
 

@@ -1,27 +1,14 @@
-(** Per-PC cost attribution: dense accumulators, one slot per linked code
-    index, for micro-ops, check/metadata micro-ops and the Figure-5 stall
-    decomposition (data / tag / base-bound), plus per-level cache-miss
-    counts.  The arrays are exposed so the machine's attribution is plain
-    array increments (the {!Profile} idiom); with attribution off the
-    machine never touches this module. *)
+(** Per-PC cost attribution: one {!Cost} record per linked code index,
+    charged by the machine (with attribution off the machine never
+    touches this module).  Grouped by function, the same records are the
+    [--profile] flat profile. *)
 
 type t = {
   fns : string array;   (** per-PC enclosing function *)
   lines : int array;
       (** per-PC source line of the translation unit: >0 user code, <0
           negated runtime-prelude line, 0 unknown *)
-  instrs : int array;
-  uops : int array;
-  data_stalls : int array;
-  tag_stalls : int array;
-  bb_stalls : int array;
-  check_uops : int array;
-  metadata_uops : int array;
-  checked_derefs : int array;
-  setbounds : int array;
-  tlb_misses : int array;
-  l1_misses : int array;
-  l2_misses : int array;
+  costs : Cost.t array;  (** per-PC accumulators, machine-owned *)
 }
 
 val create : fns:string array -> lines:int array -> t
@@ -33,38 +20,16 @@ val loc_str : t -> int -> string
 (** [fn:line] for user code, [fn:rt.line] for the runtime prelude, bare
     [fn] when no line is known. *)
 
-type row = {
-  pc : int;
-  fn : string;
-  line : int;
-  loc : string;
-  instrs : int;
-  uops : int;
-  cycles : int;
-  data_stalls : int;
-  tag_stalls : int;
-  bb_stalls : int;
-  check_uops : int;
-  metadata_uops : int;
-  checked_derefs : int;
-  setbounds : int;
-  tlb_misses : int;
-  l1_misses : int;
-  l2_misses : int;
-}
+type row = { pc : int; fn : string; line : int; loc : string; cost : Cost.t }
 
 val rows : t -> row list
-(** Executed PCs, hottest first (deterministic: ties break on pc).
-    [cycles = uops + data + tag + bb stalls] per site. *)
+(** Executed PCs, hottest (most {!Cost.cycles}) first; ties break on pc. *)
 
 val totals : t -> (string * int) list
-(** Whole-run sums keyed by the {!Stats} field each must equal
-    ([instructions], [uops], [cycles], [charged_*_stalls], [check_uops],
-    [metadata_uops], [checked_derefs], [setbound_instrs]). *)
+(** {!Cost.totals} of the sum over every PC. *)
 
 val check : t -> expect:(string * int) list -> (unit, string) result
-(** Verify {!totals} against the global counters; keys present on both
-    sides must agree exactly. *)
+(** {!Cost.check} of the sum over every PC. *)
 
 val to_table : ?top:int -> t -> string
 (** Ranked hotspot table ([top] sites, default 10; [top <= 0] = all). *)
@@ -72,6 +37,19 @@ val to_table : ?top:int -> t -> string
 val to_json : ?meta:(string * Json.t) list -> t -> Json.t
 (** Deterministic dump ({!Diff} input): [meta] fields, totals, then every
     executed site in PC order. *)
+
+(** {1 Per-function profile} *)
+
+val by_function : t -> (string * Cost.t) list
+(** The executed sites summed per enclosing function, hottest first;
+    ties break on the name. *)
+
+val function_table : t -> string
+(** The [--profile] flat table of {!by_function}. *)
+
+val export_profile : t -> Metrics.t -> unit
+(** Mirror {!by_function} into a metrics registry as
+    [profile.{cycles,instructions,check_uops,metadata_uops}{fn=...}]. *)
 
 val parse_top : string -> int
 (** CLI adapter: parse and validate an [--attr-top] row count.  Zero and

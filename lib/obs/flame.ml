@@ -1,20 +1,19 @@
-(** Calling-context profiler: the path-sensitive view the flat
-    {!Profile} (per function) and {!Attr} (per PC) layers lack.
+(** Calling-context profiler: the path-sensitive view the per-PC {!Attr}
+    layer (and its per-function grouping) lacks.
 
     The machine maintains a *shadow call stack* at its [Call] /
     [Call_reg] / [Ret] sites: {!enter} descends into (or creates) the
     child context for the callee, {!leave} pops — never below the root —
-    and every retired instruction charges the same attributable deltas
-    the profile and attribution layers charge ({!node} exposes the
-    mutable accumulators, like [Attr]'s arrays) to the context that was
-    current when the instruction started.  The contexts form a
+    and every retired instruction's {!Cost} difference is charged, from
+    the same place that charges [Attr], to the context that was current
+    when the instruction started.  The contexts form a
     calling-context tree: one node per distinct call path, interned so a
     loop calling the same function a million times costs one node.
 
     Accounting identity: every instruction charges exactly one context,
     so the per-key *exclusive* sums across all contexts must equal the
-    global [Stats] counters ({!check}, mirroring [Attr.check] /
-    [Timeline.check]); a leak means the shadow stack itself is lying and
+    global [Stats] counters ({!check}, the same {!Cost.check} as
+    [Attr.check]); a leak means the shadow stack itself is lying and
     the CLI exits non-zero.  Inclusive figures are derived at report
     time, never accumulated on the hot path.
 
@@ -41,19 +40,7 @@ type node = {
   name : string;                 (* frame name (enclosing function) *)
   parent : node option;          (* [None] only for the root *)
   depth : int;                   (* root = 0 *)
-  (* exclusive accumulators, machine-owned (plain stores, like [Attr]) *)
-  mutable instrs : int;
-  mutable uops : int;
-  mutable data_stalls : int;
-  mutable tag_stalls : int;
-  mutable bb_stalls : int;
-  mutable check_uops : int;
-  mutable metadata_uops : int;
-  mutable checked_derefs : int;
-  mutable setbounds : int;
-  mutable tlb_misses : int;
-  mutable l1_misses : int;
-  mutable l2_misses : int;
+  cost : Cost.t;                 (* exclusive, machine-charged *)
 }
 
 type t = {
@@ -72,24 +59,7 @@ type t = {
 }
 
 let mk_node ~id ~name ~parent ~depth =
-  {
-    id;
-    name;
-    parent;
-    depth;
-    instrs = 0;
-    uops = 0;
-    data_stalls = 0;
-    tag_stalls = 0;
-    bb_stalls = 0;
-    check_uops = 0;
-    metadata_uops = 0;
-    checked_derefs = 0;
-    setbounds = 0;
-    tlb_misses = 0;
-    l1_misses = 0;
-    l2_misses = 0;
-  }
+  { id; name; parent; depth; cost = Cost.create () }
 
 let create ?(max_depth = 256) ~names ~root () =
   if max_depth < 1 then
@@ -188,8 +158,7 @@ let truncations t = t.truncations
     parent always precedes it. *)
 let nodes t = List.rev t.nodes_rev
 
-let exclusive_cycles n =
-  n.uops + n.data_stalls + n.tag_stalls + n.bb_stalls
+let exclusive_cycles n = Cost.cycles n.cost
 
 (** Frame names from the root down to [n], root first. *)
 let path n =
@@ -201,42 +170,13 @@ let path n =
 (* ---- accounting identity --------------------------------------------- *)
 
 (** Exclusive sums over every context, keyed by the {!Hb_cpu.Stats} field
-    each must reconcile with (the [Attr.totals] key set). *)
-let totals t =
-  let sum f = List.fold_left (fun acc n -> acc + f n) 0 t.nodes_rev in
-  let uops = sum (fun n -> n.uops) in
-  let stalls =
-    sum (fun n -> n.data_stalls + n.tag_stalls + n.bb_stalls)
-  in
-  [
-    ("instructions", sum (fun n -> n.instrs));
-    ("uops", uops);
-    ("cycles", uops + stalls);
-    ("charged_data_stalls", sum (fun n -> n.data_stalls));
-    ("charged_tag_stalls", sum (fun n -> n.tag_stalls));
-    ("charged_bb_stalls", sum (fun n -> n.bb_stalls));
-    ("check_uops", sum (fun n -> n.check_uops));
-    ("metadata_uops", sum (fun n -> n.metadata_uops));
-    ("checked_derefs", sum (fun n -> n.checked_derefs));
-    ("setbound_instrs", sum (fun n -> n.setbounds));
-  ]
+    each must reconcile with ({!Cost.totals}). *)
+let total t = Cost.sum (List.map (fun n -> n.cost) t.nodes_rev)
 
-(** Compare {!totals} against the global counters (e.g. [Stats.fields]);
-    every key present on both sides must agree exactly. *)
+let totals t = Cost.totals (total t)
+
 let check t ~expect =
-  let bad =
-    List.filter_map
-      (fun (k, v) ->
-        match List.assoc_opt k expect with
-        | Some e when e <> v ->
-          Some (Printf.sprintf "%s: contexts %d <> global %d" k v e)
-        | _ -> None)
-      (totals t)
-  in
-  match bad with
-  | [] -> Ok ()
-  | msgs ->
-    Error ("calling-context exclusive-sum leak: " ^ String.concat "; " msgs)
+  Cost.check ~label:"calling-context exclusive-sum leak" (total t) ~expect
 
 (* ---- folded stacks (FlameGraph) -------------------------------------- *)
 
@@ -262,7 +202,7 @@ let folded_lines t =
   List.sort compare
     (List.filter_map
        (fun n ->
-         if n.instrs > 0 then Some (folded_key n, exclusive_cycles n)
+         if n.cost.instrs > 0 then Some (folded_key n, exclusive_cycles n)
          else None)
        t.nodes_rev)
 
@@ -288,7 +228,7 @@ let speedscope ?(name = "hardbound") t =
   let frames =
     List.map (fun n -> Json.Obj [ ("name", Json.String n.name) ]) ns
   in
-  let active = List.filter (fun n -> n.instrs > 0) ns in
+  let active = List.filter (fun n -> n.cost.instrs > 0) ns in
   let sample n =
     let rec ids acc n =
       match n.parent with
@@ -348,7 +288,7 @@ let report ?(top = 10) t =
   Printf.bprintf b
     "flame: %d context(s), max depth %d (cap %d, %d truncation(s))\n"
     t.n_nodes t.max_depth_seen t.max_depth t.truncations;
-  let active = List.filter (fun n -> n.instrs > 0) t.nodes_rev in
+  let active = List.filter (fun n -> n.cost.instrs > 0) t.nodes_rev in
   let ranked =
     List.sort
       (fun a b -> compare (exclusive_cycles b, a.id) (exclusive_cycles a, b.id))
@@ -364,11 +304,12 @@ let report ?(top = 10) t =
         if String.length stack <= 40 then stack
         else ".." ^ String.sub stack (String.length stack - 38) 38
       in
+      let c = n.cost in
       Printf.bprintf b "%-40s %10d %10d %8d %6d %6d %8d %6d\n" stack
-        incl.(n.id) (exclusive_cycles n) n.instrs n.check_uops
-        n.metadata_uops
-        (n.data_stalls + n.tag_stalls + n.bb_stalls)
-        (n.tlb_misses + n.l1_misses + n.l2_misses))
+        incl.(n.id) (exclusive_cycles n) c.instrs c.check_uops
+        c.metadata_uops
+        (c.data_stalls + c.tag_stalls + c.bb_stalls)
+        (c.tlb_misses + c.l1_misses + c.l2_misses))
     shown;
   let omitted = List.length ranked - List.length shown in
   if omitted > 0 then

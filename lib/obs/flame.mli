@@ -10,23 +10,11 @@ type node = {
   name : string;       (** frame name (enclosing function) *)
   parent : node option;(** [None] only for the root *)
   depth : int;         (** root = 0 *)
-  mutable instrs : int;
-  mutable uops : int;
-  mutable data_stalls : int;
-  mutable tag_stalls : int;
-  mutable bb_stalls : int;
-  mutable check_uops : int;
-  mutable metadata_uops : int;
-  mutable checked_derefs : int;
-  mutable setbounds : int;
-  mutable tlb_misses : int;
-  mutable l1_misses : int;
-  mutable l2_misses : int;
+  cost : Cost.t;
+      (** exclusive (this context only), charged by the machine;
+          inclusive figures are derived at report time *)
 }
-(** One calling context.  The accumulators are exclusive (this context
-    only) and machine-owned: the hot path stores into them directly,
-    like [Attr]'s arrays.  Inclusive figures are derived at report
-    time. *)
+(** One calling context. *)
 
 type t
 
@@ -87,12 +75,10 @@ val inclusive : t -> int array
 (** {1 Accounting identity} *)
 
 val totals : t -> (string * int) list
-(** Exclusive sums across every context, keyed by the [Stats] field each
-    must reconcile with (the [Attr.totals] key set). *)
+(** {!Cost.totals} of the exclusive sums across every context. *)
 
 val check : t -> expect:(string * int) list -> (unit, string) result
-(** Compare {!totals} against the global counters; any key present on
-    both sides that disagrees is a leak. *)
+(** {!Cost.check} of the exclusive sums across every context. *)
 
 (** {1 Exports (all deterministic)} *)
 

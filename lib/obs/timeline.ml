@@ -9,7 +9,7 @@
     and the live-pointer encoding distribution (Section 4's compression
     claim is exactly a claim about that distribution).
 
-    The module is driven by the machine (like {!Profile} and {!Attr}): it
+    The module is driven by the machine (like {!Attr} and {!Flame}): it
     never sees simulator types, only flat counter lists and a census
     record, so the dependency points obs-ward.  When no timeline is
     attached the machine's only cost is one [None] check per retired

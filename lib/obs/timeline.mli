@@ -7,7 +7,7 @@
     Windows stream to optional JSONL/CSV sinks and accumulate in memory
     for the terminal phase report.
 
-    Driven by the machine, like {!Profile} and {!Attr}: this module sees
+    Driven by the machine, like {!Attr} and {!Flame}: this module sees
     only flat counter lists and a census record.  Off by default; when no
     timeline is attached the simulator pays one [None] check per retired
     instruction. *)

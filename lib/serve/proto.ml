@@ -48,18 +48,6 @@ let default =
 
 let fail fmt = Hb_error.fail ~component:"proto" fmt
 
-(* the same vocabulary [hardbound_run --mode] accepts *)
-let mode_of_name = function
-  | "nochecks" | "none" -> Some Codegen.Nochecks
-  | "hardbound" | "full" -> Some Codegen.Hardbound
-  | "malloc-only" | "hardbound-malloc-only" ->
-    (* the second spelling is [Codegen.mode_name]'s output: the codec
-       must round-trip its own canonical encoding *)
-    Some Codegen.Hardbound_malloc_only
-  | "softfat" | "ccured" -> Some Codegen.Softfat
-  | "objtable" | "jk" -> Some Codegen.Objtable
-  | _ -> None
-
 let sites_of_string s =
   if String.trim s = "all" then Injector.all_sites
   else
@@ -150,7 +138,7 @@ let spec_of_json j =
     match str_field j "mode" with
     | None -> default.mode
     | Some s -> (
-      match mode_of_name s with
+      match Codegen.mode_of_name s with
       | Some m -> m
       | None ->
         fail

@@ -42,10 +42,6 @@ val default : spec
     defaults (seed 1, all sites, 16 checkpoints, abort policy); the base
     every parsed spec overrides. *)
 
-val mode_of_name : string -> Codegen.mode option
-(** Exactly the CLI's [--mode] vocabulary: [nochecks|none],
-    [hardbound|full], [malloc-only], [softfat|ccured], [objtable|jk]. *)
-
 val sites_of_string : string -> Injector.site list
 (** ["all"] or a comma list of [mem|tag|shadow|reg|regbounds].  Raises a
     typed {!Hb_error.Hb_error} on unknown names. *)

@@ -7,7 +7,8 @@
 module Json = Hb_obs.Json
 module Attr = Hb_obs.Attr
 module Diff = Hb_obs.Diff
-module Profile = Hb_obs.Profile
+module Cost = Hb_obs.Cost
+module Flame = Hb_obs.Flame
 module Metrics = Hb_obs.Metrics
 module Machine = Hb_cpu.Machine
 module Stats = Hb_cpu.Stats
@@ -51,13 +52,12 @@ int main() {
 }
 |}
 
-let run_attr ?(profile = false) ~mode ~scheme () =
+let run_attr ~mode ~scheme () =
   Hardbound.Checker.reset_tally ();
   let image, globals = Hb_runtime.Build.compile ~mode sample in
   let config = Hb_runtime.Build.config_for ~scheme mode in
   let m = Machine.create ~config ~globals image in
   Machine.enable_attr ~line_base:Hb_runtime.Build.runtime_lines m;
-  if profile then Machine.enable_profile m;
   (match Machine.run m with
    | Machine.Exited 0 -> ()
    | st -> Alcotest.fail (Machine.status_name st));
@@ -83,7 +83,7 @@ let encodings =
    the timing model's own invariants. *)
 let test_sums_reconcile () =
   let check_one name ~mode ~scheme =
-    let m = run_attr ~profile:true ~mode ~scheme () in
+    let m = run_attr ~mode ~scheme () in
     let expect = Stats.fields m.Machine.stats in
     (match Stats.check_invariants m.Machine.stats with
      | Ok () -> ()
@@ -91,18 +91,51 @@ let test_sums_reconcile () =
     (match Attr.check (attr_of m) ~expect with
      | Ok () -> ()
      | Error e -> Alcotest.fail (name ^ ": " ^ e));
-    match Machine.profile m with
-    | None -> Alcotest.fail "profile not enabled"
-    | Some p ->
-      (match Profile.check p ~expect with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail (name ^ ": " ^ e))
+    let per_fn = Cost.sum (List.map snd (Attr.by_function (attr_of m))) in
+    match Cost.check ~label:"per-function profile leak" per_fn ~expect with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
   in
   check_one "baseline" ~mode:Codegen.Nochecks ~scheme:Encoding.Uncompressed;
   List.iter
     (fun (name, scheme) ->
       check_one ("hardbound/" ^ name) ~mode:Codegen.Hardbound ~scheme)
     encodings
+
+(* A trapping instruction is charged too: after a bounds violation the
+   per-PC and per-context sums still equal the global counters. *)
+let test_trap_charged () =
+  Hardbound.Checker.reset_tally ();
+  let mode = Codegen.Hardbound in
+  let image, globals =
+    Hb_runtime.Build.compile ~mode
+      {|
+int main() {
+  int *p;
+  int i;
+  p = (int *)malloc(8 * sizeof(int));
+  for (i = 0; i <= 8; i++) { p[i] = i; }
+  return 0;
+}
+|}
+  in
+  let m =
+    Machine.create ~config:(Hb_runtime.Build.config_for mode) ~globals image
+  in
+  Machine.enable_attr ~line_base:Hb_runtime.Build.runtime_lines m;
+  Machine.enable_flame m;
+  (match Machine.run m with
+   | Machine.Bounds_violation _ -> ()
+   | st -> Alcotest.fail (Machine.status_name st));
+  let expect = Stats.fields m.Machine.stats in
+  List.iter
+    (function Ok () -> () | Error e -> Alcotest.fail e)
+    [
+      Attr.check (attr_of m) ~expect;
+      (match Machine.flame m with
+       | Some cct -> Flame.check cct ~expect
+       | None -> Error "flame not enabled");
+    ]
 
 (* ---- golden determinism ---------------------------------------------- *)
 
@@ -118,6 +151,86 @@ let test_dump_deterministic () =
   let d = Diff.of_json (Json.of_string a) in
   Alcotest.(check string) "label survives" "golden" d.Diff.label;
   Alcotest.(check bool) "has sites" true (d.Diff.sites <> [])
+
+(* ---- artifact pins ----------------------------------------------------- *)
+
+(* MD5 digests of every attribution, profile and flame artifact, and of
+   the metrics snapshot [hardbound_run --profile] exports, for a
+   HardBound and an unchecked run.  The digests are constants, so a
+   change to how the machine charges these costs has to leave every byte
+   in place (the determinism tests above only compare two runs of one
+   build). *)
+let pinned_digests ~mode ~scheme name =
+  Hardbound.Checker.reset_tally ();
+  let image, globals =
+    Hb_runtime.Build.compile ~mode (Hb_workloads.Workloads.find name).source
+  in
+  let config = Hb_runtime.Build.config_for ~scheme mode in
+  let m = Machine.create ~config ~globals image in
+  Machine.enable_attr ~line_base:Hb_runtime.Build.runtime_lines m;
+  Machine.enable_flame m;
+  (match Machine.run m with
+   | Machine.Exited 0 -> ()
+   | st -> Alcotest.fail (Machine.status_name st));
+  let a = attr_of m in
+  let cct =
+    match Machine.flame m with
+    | Some f -> f
+    | None -> Alcotest.fail "flame not enabled"
+  in
+  let reg = Machine.metrics m in
+  Attr.export_profile a reg;
+  List.map
+    (fun (k, s) -> (k, Digest.to_hex (Digest.string s)))
+    [
+      ( "attr json",
+        Json.to_string_pretty
+          (Attr.to_json ~meta:[ ("label", Json.String name) ] a) );
+      ("attr table", Attr.to_table ~top:0 a);
+      ("profile table", Attr.function_table a);
+      ("folded", Flame.folded cct);
+      ("speedscope", Json.to_string_pretty (Flame.speedscope ~name cct));
+      ("flame report", Flame.report ~top:max_int cct);
+      ( "heatmap",
+        Json.to_string_pretty
+          (Flame.heatmap_json ~page_size:Hb_mem.Layout.page_size
+             (Machine.heat_rows m)) );
+      ("metrics", Json.to_string (Metrics.snapshot reg));
+    ]
+
+let test_pinned_artifacts () =
+  let pin label got want =
+    List.iter2
+      (fun (k, d) (k', d') ->
+        Alcotest.(check string) (label ^ " artifact") k' k;
+        Alcotest.(check string) (label ^ " " ^ k) d' d)
+      got want
+  in
+  pin "treeadd/hardbound/intern-4"
+    (pinned_digests ~mode:Codegen.Hardbound ~scheme:Encoding.Intern4 "treeadd")
+    [
+      ("attr json", "718774e4d6ef0c8300a44f1320afd89a");
+      ("attr table", "f857d345c8859690ba08d87d9f641aef");
+      ("profile table", "be0d34e3ee96a40ee76f78bc3ff140f9");
+      ("folded", "877bed08e5808ff5af7fe6d4f4694ebc");
+      ("speedscope", "1e7cf95a18f6c7a6531653da17814656");
+      ("flame report", "acc159063d9dc60ad237264d4735ee69");
+      ("heatmap", "f18448b5db7b539ea6fc368346d8b322");
+      ("metrics", "1a67fa75be95de47892bd7c92987e0b1");
+    ];
+  pin "power/nochecks"
+    (pinned_digests ~mode:Codegen.Nochecks ~scheme:Encoding.Uncompressed
+       "power")
+    [
+      ("attr json", "f0458516e1012967b91da0ce6c523b1d");
+      ("attr table", "bd5a662e60cc57cb24052857d18101dd");
+      ("profile table", "ff8df39150f1c86db45da8ddcbded525");
+      ("folded", "3088ea7faa47647f07666246a00429fd");
+      ("speedscope", "acfe40d449ab89879c4e59f3ce847ba6");
+      ("flame report", "ecc54b3eac4a07c8abb7e18b42e25f68");
+      ("heatmap", "24d284dd9f3b7ea542a5227378cbc373");
+      ("metrics", "494db1761b5e89a51ef72258b11290f5");
+    ]
 
 (* ---- debug map / line rendering -------------------------------------- *)
 
@@ -237,8 +350,13 @@ let test_diff_rejects_garbage () =
 (* ---- Prometheus exposition ------------------------------------------- *)
 
 let test_prometheus_format () =
-  let m = run_attr ~profile:true ~mode:Codegen.Hardbound ~scheme:Encoding.Extern4 () in
-  let text = Metrics.to_prometheus (Machine.metrics m) in
+  let exposition m =
+    let reg = Machine.metrics m in
+    Attr.export_profile (attr_of m) reg;
+    Metrics.to_prometheus reg
+  in
+  let m = run_attr ~mode:Codegen.Hardbound ~scheme:Encoding.Extern4 () in
+  let text = exposition m in
   Alcotest.(check bool) "starts with a TYPE line" true
     (String.length text > 7 && String.sub text 0 7 = "# TYPE ");
   Alcotest.(check bool) "ends with EOF marker" true
@@ -251,9 +369,8 @@ let test_prometheus_format () =
   Alcotest.(check bool) "no raw dots in metric names" false
     (contains text "cpu.cycles");
   (* determinism: a second identical run exposes byte-identical text *)
-  let m2 = run_attr ~profile:true ~mode:Codegen.Hardbound ~scheme:Encoding.Extern4 () in
-  Alcotest.(check string) "deterministic exposition" text
-    (Metrics.to_prometheus (Machine.metrics m2))
+  let m2 = run_attr ~mode:Codegen.Hardbound ~scheme:Encoding.Extern4 () in
+  Alcotest.(check string) "deterministic exposition" text (exposition m2)
 
 let test_prometheus_histogram () =
   let reg = Metrics.create () in
@@ -314,9 +431,13 @@ let () =
         [
           tc "per-PC and per-function sums equal Stats for every encoding"
             test_sums_reconcile;
+          tc "a trapping instruction is charged" test_trap_charged;
         ] );
       ( "golden",
-        [ tc "attribution dump is byte-deterministic" test_dump_deterministic ] );
+        [
+          tc "attribution dump is byte-deterministic" test_dump_deterministic;
+          tc "artifacts match their recorded digests" test_pinned_artifacts;
+        ] );
       ( "lines",
         [ tc "debug map names functions and user lines" test_line_map ] );
       ( "diff",

@@ -7,6 +7,7 @@
 
 module Json = Hb_obs.Json
 module Flame = Hb_obs.Flame
+module Cost = Hb_obs.Cost
 module Metrics = Hb_obs.Metrics
 module Machine = Hb_cpu.Machine
 module Stats = Hb_cpu.Stats
@@ -117,8 +118,8 @@ let test_leak_detected () =
      Alcotest.(check bool) "error says exclusive-sum leak" true
        (contains e "exclusive-sum leak"));
   (* corrupt a context's accumulator: the identity must break *)
-  (Flame.current cct).Flame.check_uops <-
-    (Flame.current cct).Flame.check_uops + 7;
+  let c = (Flame.current cct).Flame.cost in
+  c.Cost.check_uops <- c.Cost.check_uops + 7;
   match Flame.check cct ~expect:(Stats.fields m.Machine.stats) with
   | Ok () -> Alcotest.fail "doctored context passed Flame.check"
   | Error e ->
@@ -316,12 +317,15 @@ let test_snapshot_restore_reconciles () =
 let test_hostile_names () =
   let names = [| "ev\"il\\fn"; "a;b c\nd\te" |] in
   let cct = Flame.create ~names ~root:"ro\"ot;\\" () in
+  let charge n =
+    let c = (Flame.current cct).Flame.cost in
+    c.Cost.uops <- n;
+    c.Cost.instrs <- n
+  in
   Flame.enter cct 0;
-  (Flame.current cct).Flame.uops <- 10;
-  (Flame.current cct).Flame.instrs <- 10;
+  charge 10;
   Flame.enter cct 1;
-  (Flame.current cct).Flame.uops <- 5;
-  (Flame.current cct).Flame.instrs <- 5;
+  charge 5;
   Flame.leave cct;
   Flame.leave cct;
   (* folded: the separator characters never leak into frame names *)

@@ -6,7 +6,8 @@
 module Json = Hb_obs.Json
 module Metrics = Hb_obs.Metrics
 module Trace = Hb_obs.Trace
-module Profile = Hb_obs.Profile
+module Attr = Hb_obs.Attr
+module Cost = Hb_obs.Cost
 module Machine = Hb_cpu.Machine
 module Codegen = Hb_minic.Codegen
 
@@ -153,7 +154,8 @@ let run_workload ?(profile = false) () =
   let image, globals = Hb_runtime.Build.compile ~mode buggy in
   let config = Hb_runtime.Build.config_for mode in
   let m = Machine.create ~config ~globals image in
-  if profile then Machine.enable_profile m;
+  if profile then
+    Machine.enable_attr ~line_base:Hb_runtime.Build.runtime_lines m;
   (match Machine.run m with
    | Machine.Exited 0 -> ()
    | st -> Alcotest.fail (Machine.status_name st));
@@ -308,15 +310,15 @@ let test_prometheus_name_sanitization () =
   Alcotest.(check bool) "no dotted name leaks" false
     (contains_sub text "cache.l1d")
 
-(* ---- Profile golden: real function names ----------------------------- *)
+(* ---- --profile golden: real function names ---------------------------- *)
 
 let test_profile_names_functions () =
   let m = run_workload ~profile:true () in
-  match Machine.profile m with
-  | None -> Alcotest.fail "profile not enabled"
+  match Machine.attr m with
+  | None -> Alcotest.fail "attribution not enabled"
   | Some p ->
-    let rows = Profile.rows p in
-    let names = List.map (fun (r : Profile.row) -> r.Profile.fn) rows in
+    let rows = Attr.by_function p in
+    let names = List.map fst rows in
     List.iter
       (fun fn ->
         Alcotest.(check bool) ("profile row for " ^ fn) true
@@ -324,7 +326,7 @@ let test_profile_names_functions () =
       [ "main"; "sum"; "malloc" ];
     (* cycles must reconcile with the machine's own counter *)
     let total =
-      List.fold_left (fun a (r : Profile.row) -> a + r.Profile.cycles) 0 rows
+      List.fold_left (fun a (_, c) -> a + Cost.cycles c) 0 rows
     in
     Alcotest.(check int) "profile cycles = stats cycles"
       (Hb_cpu.Stats.cycles m.Machine.stats)
@@ -335,7 +337,7 @@ let test_profile_names_functions () =
       let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
       go 0
     in
-    let table = Profile.to_table p in
+    let table = Attr.function_table p in
     List.iter
       (fun fn ->
         Alcotest.(check bool) (fn ^ " in table") true (contains table fn))

@@ -93,16 +93,33 @@ let test_proto_roundtrip () =
       let s' = Proto.spec_of_json (Proto.spec_to_json s) in
       Alcotest.(check bool) "canonical round-trip" true (spec_eq s s'))
     specs;
-  (* the CLI's canonical mode names decode too (a journaled spec must
-     replay whichever spelling the codec itself emits) *)
+  (* the one mode vocabulary (both CLIs and job specs): every canonical
+     name round-trips, so a journaled spec replays whichever spelling the
+     codec itself emits, and every alias decodes *)
   List.iter
     (fun m ->
       Alcotest.(check bool)
         ("mode name round-trips: " ^ Codegen.mode_name m)
         true
-        (Proto.mode_of_name (Codegen.mode_name m) = Some m))
+        (Codegen.mode_of_name (Codegen.mode_name m) = Some m))
     [ Codegen.Nochecks; Codegen.Hardbound; Codegen.Hardbound_malloc_only;
-      Codegen.Softfat; Codegen.Objtable ]
+      Codegen.Softfat; Codegen.Objtable ];
+  List.iter
+    (fun (alias, m) ->
+      Alcotest.(check bool) ("mode alias: " ^ alias) true
+        (Codegen.mode_of_name alias = Some m);
+      let spec =
+        Proto.spec_of_json
+          (Json.of_string
+             (Printf.sprintf {|{"workload": "power", "mode": %S}|} alias))
+      in
+      Alcotest.(check string) ("job spec alias: " ^ alias)
+        (Codegen.mode_name m) (Codegen.mode_name spec.Proto.mode))
+    [ ("none", Codegen.Nochecks); ("full", Codegen.Hardbound);
+      ("malloc-only", Codegen.Hardbound_malloc_only);
+      ("ccured", Codegen.Softfat); ("jk", Codegen.Objtable) ];
+  Alcotest.(check bool) "unknown mode name" true
+    (Codegen.mode_of_name "bogus" = None)
 
 let check_rejects ~what json =
   match Proto.spec_of_json (Json.of_string json) with
