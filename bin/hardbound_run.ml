@@ -159,9 +159,8 @@ let attr_json =
            ~doc:"Write the full per-PC attribution dump to FILE (implies \
                  attribution; feed two dumps to --diff)")
 
-(* Validated through the shared [Attr.parse_top] so the two CLIs cannot
-   drift: zero/negative counts are a typed error with a usage hint, the
-   same contract --sample-interval has. *)
+(* Validated by [Attr.parse_top]: zero/negative counts are a typed error
+   with a usage hint, the same contract --sample-interval has. *)
 let attr_top_conv =
   let parse s =
     match Attr.parse_top s with

@@ -17,76 +17,16 @@ open Cmdliner
 module Json = Hb_obs.Json
 module Clock = Hb_obs.Clock
 module Proto = Hb_serve.Proto
+module Serve = Hb_obs.Serve
 
 let die fmt = Printf.ksprintf (fun s -> Printf.eprintf "error: %s\n" s; exit 1) fmt
 
-(* ------------------------------------------------------------------ *)
-(* Minimal HTTP/1.1 client over loopback TCP                           *)
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let read_all fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 8192 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Buffer.contents buf
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
 (* (status code, body) for one request; transport failures exit 1 with
-   a reconnect hint rather than a raw Unix_error backtrace *)
-let request ~port ~meth ~path ?(body = "") () =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with _ -> ())
-    (fun () ->
-      (try Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-       with Unix.Unix_error (e, _, _) ->
-         die "cannot reach the daemon on 127.0.0.1:%d: %s (is it running? \
-              start one with: hardbound_run --daemon %d --queue-dir DIR)"
-           port (Unix.error_message e) port);
-      write_all sock
-        (Printf.sprintf
-           "%s %s HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: \
-            application/json\r\nContent-Length: %d\r\nConnection: \
-            close\r\n\r\n%s"
-           meth path (String.length body) body);
-      let raw = read_all sock in
-      let code =
-        match String.split_on_char ' ' raw with
-        | _http :: code :: _ -> (
-          match int_of_string_opt code with Some c -> c | None -> 0)
-        | _ -> 0
-      in
-      let body =
-        (* body starts after the first blank line *)
-        let n = String.length raw in
-        let rec find i =
-          if i + 3 >= n then n
-          else if
-            raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r'
-            && raw.[i + 3] = '\n'
-          then i + 4
-          else find (i + 1)
-        in
-        let b = find 0 in
-        String.sub raw b (n - b)
-      in
-      if code = 0 then die "malformed response from 127.0.0.1:%d" port;
-      (code, body))
+   their typed message (a reconnect hint) rather than a backtrace *)
+let request ~port ~meth ~path ?body () =
+  match Serve.request ~port ~meth ~path ?body () with
+  | { Serve.code; body; _ } -> (code, body)
+  | exception Hb_error.Hb_error (_, msg) -> die "%s" msg
 
 let member_string key body =
   match Json.member key (Json.of_string body) with

@@ -1111,41 +1111,48 @@ let emit_violation m what (v : Checker.violation) =
          { what; addr = v.Checker.addr; base = v.Checker.meta.Meta.base;
            bound = v.Checker.meta.Meta.bound })
 
+(** The one map from what [step] raises to the status a run halts with:
+    sets [m.halted] and returns the status.  Violations also go into the
+    trace, so a report's "last events" window ends with the fault.  Any
+    other exception is re-raised. *)
+let halt_of_exn m e =
+  let st =
+    match e with
+    | Checker.Bounds_violation v ->
+      emit_violation m "bounds" v;
+      Bounds_violation v
+    | Checker.Non_pointer_deref v ->
+      emit_violation m "non-pointer" v;
+      Non_pointer_violation v
+    | Software_abort_exn n -> Software_abort n
+    | Temporal.Temporal_violation f -> Temporal_violation f
+    | Machine_fault s -> Fault s
+    | Hb_error.Hb_error (ctx, msg) -> Fault (Hb_error.to_string (ctx, msg))
+    | e -> raise e
+  in
+  m.halted <- Some st;
+  st
+
 (** Run at most [n] instructions, reporting each to [out] before executing
-    it.  Returns the status if the program finished within the budget. *)
+    it.  Returns the status if the program finished within the budget or
+    ran out of fuel ([cfg.max_instrs]) first. *)
 let run_traced m ~n ~(out : string -> unit) : status option =
   let rec loop k =
     match m.halted with
     | Some st -> Some st
     | None ->
-      if k = 0 then None
+      if m.stats.instructions >= m.cfg.max_instrs then begin
+        m.halted <- Some Out_of_fuel;
+        m.halted
+      end
+      else if k = 0 then None
       else begin
         out (describe_state m);
         step m;
         loop (k - 1)
       end
   in
-  try loop n with
-  | Checker.Bounds_violation v ->
-    emit_violation m "bounds" v;
-    m.halted <- Some (Bounds_violation v);
-    m.halted
-  | Checker.Non_pointer_deref v ->
-    emit_violation m "non-pointer" v;
-    m.halted <- Some (Non_pointer_violation v);
-    m.halted
-  | Temporal.Temporal_violation f ->
-    m.halted <- Some (Temporal_violation f);
-    m.halted
-  | Software_abort_exn code ->
-    m.halted <- Some (Software_abort code);
-    m.halted
-  | Machine_fault s ->
-    m.halted <- Some (Fault s);
-    m.halted
-  | Hb_error.Hb_error (ctx, msg) ->
-    m.halted <- Some (Fault (Hb_error.to_string (ctx, msg)));
-    m.halted
+  try loop n with e -> Some (halt_of_exn m e)
 
 (** Run to completion.  Exceptions raised by checks become statuses. *)
 let run m =
@@ -1159,19 +1166,7 @@ let run m =
         loop ()
       end
   in
-  let st =
-    try loop () with
-    | Checker.Bounds_violation v ->
-      emit_violation m "bounds" v;
-      Bounds_violation v
-    | Checker.Non_pointer_deref v ->
-      emit_violation m "non-pointer" v;
-      Non_pointer_violation v
-    | Software_abort_exn n -> Software_abort n
-    | Temporal.Temporal_violation f -> Temporal_violation f
-    | Machine_fault s -> Fault s
-    | Hb_error.Hb_error (ctx, msg) -> Fault (Hb_error.to_string (ctx, msg))
-  in
+  let st = try loop () with e -> halt_of_exn m e in
   m.halted <- Some st;
   st
 

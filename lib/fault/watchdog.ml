@@ -2,14 +2,12 @@
 
     Injected runs can easily corrupt a loop counter and spin forever;
     the watchdog converts those into a [Hang] verdict instead of wedging
-    the campaign.  Checker exceptions are mapped to statuses exactly as
-    {!Machine.run} maps them, so a watchdogged run and a plain run agree
-    on every terminating program. *)
+    the campaign.  Checker exceptions are mapped to statuses by
+    {!Machine.halt_of_exn}, as in {!Machine.run}, so a watchdogged run and
+    a plain run agree on every terminating program. *)
 
 module Machine = Hb_cpu.Machine
 module Stats = Hb_cpu.Stats
-module Checker = Hardbound.Checker
-module Temporal = Hb_cpu.Temporal
 
 type result =
   | Completed of Machine.status
@@ -25,10 +23,6 @@ let result_name = function
     the caller untouched. *)
 let run ?(on_step = fun (_ : Machine.t) -> ()) ~limit (m : Machine.t) : result
     =
-  let finish st =
-    m.Machine.halted <- Some st;
-    Completed st
-  in
   let rec loop () =
     match m.Machine.halted with
     | Some st -> Completed st
@@ -41,15 +35,4 @@ let run ?(on_step = fun (_ : Machine.t) -> ()) ~limit (m : Machine.t) : result
         loop ()
       end
   in
-  try loop () with
-  | Checker.Bounds_violation v ->
-    Machine.emit_violation m "bounds" v;
-    finish (Machine.Bounds_violation v)
-  | Checker.Non_pointer_deref v ->
-    Machine.emit_violation m "non-pointer" v;
-    finish (Machine.Non_pointer_violation v)
-  | Machine.Software_abort_exn code -> finish (Machine.Software_abort code)
-  | Temporal.Temporal_violation f -> finish (Machine.Temporal_violation f)
-  | Machine.Machine_fault s -> finish (Machine.Fault s)
-  | Hb_error.Hb_error (ctx, msg) ->
-    finish (Machine.Fault (Hb_error.to_string (ctx, msg)))
+  try loop () with e -> Completed (Machine.halt_of_exn m e)

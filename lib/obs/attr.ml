@@ -179,10 +179,10 @@ let top_usage_hint =
   "give a positive row count, e.g. --attr-top 20; pass a large count to \
    see every site"
 
-(** Parse and validate an [--attr-top] row count — both CLIs route the
-    flag through here so the validation (and its usage hint) cannot
-    drift.  Zero and negative counts are rejected with a typed
-    {!Hb_error}, matching the [--sample-interval] semantics. *)
+(** Parse and validate an [--attr-top] row count, the flag hardbound_run's
+    --attr, --diff and --flame tables share.  Zero and negative counts are
+    rejected with a typed {!Hb_error}, matching the [--sample-interval]
+    semantics. *)
 let parse_top s =
   match int_of_string_opt (String.trim s) with
   | None ->

@@ -54,5 +54,4 @@ val export_profile : t -> Metrics.t -> unit
 val parse_top : string -> int
 (** CLI adapter: parse and validate an [--attr-top] row count.  Zero and
     negative counts raise a typed {!Hb_error.Hb_error} with a usage
-    hint (matching the [--sample-interval] semantics); both CLIs route
-    the flag through here. *)
+    hint (matching the [--sample-interval] semantics). *)

@@ -286,3 +286,85 @@ let stop t =
   (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with _ -> ());
   (try Unix.close t.sock with _ -> ());
   try Thread.join t.thread with _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Loopback client                                                     *)
+
+type reply = { code : int; headers : (string * string) list; body : string }
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then
+      match Unix.write_substring fd s off (n - off) with
+      | w -> go (off + w)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
+
+let read_all fd =
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 8192 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* "Name: value" header lines; names lower-cased *)
+let header_fields lines =
+  List.filter_map
+    (fun line ->
+      match String.index_opt line ':' with
+      | Some i ->
+        Some
+          ( String.lowercase_ascii (String.sub line 0 i),
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+          )
+      | None -> None)
+    lines
+
+let request ~port ~meth ~path ?(body = "") () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with _ -> ())
+    (fun () ->
+      (try Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+       with Unix.Unix_error (e, _, _) ->
+         Hb_error.fail ~component:"serve"
+           "cannot reach the daemon on 127.0.0.1:%d: %s (is it running? \
+            start one with: hardbound_run --daemon %d --queue-dir DIR)"
+           port (Unix.error_message e) port);
+      write_all sock
+        (Printf.sprintf
+           "%s %s HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: \
+            application/json\r\nContent-Length: %d\r\nConnection: \
+            close\r\n\r\n%s"
+           meth path (String.length body) body);
+      let raw = read_all sock in
+      let he = header_end raw in
+      let head, body =
+        if he < 0 then (raw, "")
+        else
+          ( String.sub raw 0 he,
+            String.sub raw (he + 4) (String.length raw - he - 4) )
+      in
+      let lines = List.map String.trim (String.split_on_char '\n' head) in
+      let code =
+        match lines with
+        | status :: _ -> (
+          match String.split_on_char ' ' status with
+          | _http :: code :: _ -> int_of_string_opt code
+          | _ -> None)
+        | [] -> None
+      in
+      match code with
+      | Some code when code > 0 ->
+        { code; headers = header_fields (List.tl lines); body }
+      | _ ->
+        Hb_error.fail ~component:"serve" "malformed response from 127.0.0.1:%d"
+          port)

@@ -64,3 +64,17 @@ val listen_fd : t -> Unix.file_descr
 
 val stop : t -> unit
 (** Close the listener and join the serve thread. *)
+
+type reply = {
+  code : int;  (** e.g. [200] *)
+  headers : (string * string) list;  (** names lower-cased *)
+  body : string;
+}
+
+val request :
+  port:int -> meth:string -> path:string -> ?body:string -> unit -> reply
+(** The one client for these servers: send one request to
+    loopback:[port] ([Connection: close]) and read the reply to EOF.
+    Raises a typed {!Hb_error.Hb_error} when nothing accepts on the port
+    (the message says how to start a daemon) or the reply has no status
+    line. *)

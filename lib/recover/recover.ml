@@ -40,7 +40,6 @@
 module Machine = Hb_cpu.Machine
 module Stats = Hb_cpu.Stats
 module Snapshot = Hb_cpu.Snapshot
-module Temporal = Hb_cpu.Temporal
 module Checker = Hardbound.Checker
 module Trace = Hb_obs.Trace
 module Metrics = Hb_obs.Metrics
@@ -248,13 +247,7 @@ let run ?(on_step = fun (_ : Machine.t) -> ()) ?(limit = max_int)
       with
       | Checker.Bounds_violation v -> `Trap (Trap.Bounds, v)
       | Checker.Non_pointer_deref v -> `Trap (Trap.Non_pointer, v)
-      | Machine.Software_abort_exn code ->
-        `Done (finish (Machine.Software_abort code))
-      | Temporal.Temporal_violation f ->
-        `Done (finish (Machine.Temporal_violation f))
-      | Machine.Machine_fault s -> `Done (finish (Machine.Fault s))
-      | Hb_error.Hb_error (ctx, msg) ->
-        `Done (finish (Machine.Fault (Hb_error.to_string (ctx, msg))))
+      | e -> `Done (Machine.halt_of_exn m e)
     with
     | `Done st -> st
     | `Stop st -> st  (* limit / fuel / deadline: machine left runnable *)

@@ -25,6 +25,7 @@ module Interrupt = Hb_recover.Interrupt
 module Campaign = Hb_fault.Campaign
 module Supervisor = Hb_shard.Supervisor
 module Shard = Hb_shard.Shard
+module Worker = Hb_shard.Worker
 module Machine = Hb_cpu.Machine
 module Build = Hb_runtime.Build
 module Codegen = Hb_minic.Codegen
@@ -88,17 +89,6 @@ let logf t fmt =
 let port t = match t.server with Some s -> Serve.port s | None -> 0
 let queue t = t.q
 
-(* The daemon's retry backoff is the supervisor's tested pure schedule,
-   with the daemon's own base/cap. *)
-let backoff_s t ~attempt =
-  Supervisor.backoff_s
-    {
-      Supervisor.default with
-      Supervisor.backoff_base_s = t.cfg.backoff_base_s;
-      backoff_cap_s = t.cfg.backoff_cap_s;
-    }
-    ~restart:attempt
-
 let report_path t (job : Queue.job) =
   Filename.concat (Queue.job_dir t.q job.Queue.id) "report.json"
 
@@ -127,28 +117,13 @@ let write_file_atomic path s =
       Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path
 
-let sigkill_reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-  let rec reap () =
-    match Unix.waitpid [] pid with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-    | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  reap ()
-
 (* ------------------------------------------------------------------ *)
 (* Worker child                                                        *)
 
-(* Worker exit protocol (mirrors Shard.Worker): 0 done, 3 typed error
-   (terminal — retrying a bad spec cannot help), 4 resumable partial
-   (job deadline expired between runs), anything else a crash the
+(* The child exits with the shard worker's protocol ({!Worker}): ok,
+   typed error (terminal — retrying a bad spec cannot help), resumable
+   partial (job deadline expired between runs), anything else a crash the
    scheduler retries. *)
-let exit_done = 0
-let exit_error = 3
-let exit_partial = 4
-let exit_crash = 5
-
 let child_run t (job : Queue.job) ~attempt ~image ~globals =
   (match t.server with
   | Some s -> ( try Unix.close (Serve.listen_fd s) with _ -> ())
@@ -162,7 +137,7 @@ let child_run t (job : Queue.job) ~attempt ~image ~globals =
         while true do
           Unix.sleepf 3600.
         done
-      | Some (Proto.Crash k) when attempt <= k -> Unix._exit exit_crash
+      | Some (Proto.Crash k) when attempt <= k -> Unix._exit Worker.exit_crash
       | _ -> ());
       let config =
         Build.config_for ~scheme:spec.Proto.scheme ~temporal:false
@@ -192,17 +167,18 @@ let child_run t (job : Queue.job) ~attempt ~image ~globals =
       in
       write_file_atomic (report_path t job)
         (Json.to_string_pretty (Campaign.to_json report) ^ "\n");
-      if report.Campaign.deadline_expired then exit_partial else exit_done
+      if report.Campaign.deadline_expired then Worker.exit_partial
+      else Worker.exit_ok
     with
     | Hb_error.Hb_error (ctx, msg) ->
       (try
          write_file_atomic (error_path t job) (Hb_error.to_string (ctx, msg))
        with _ -> ());
-      exit_error
+      Worker.exit_error
     | e ->
       (try write_file_atomic (error_path t job) (Printexc.to_string e)
        with _ -> ());
-      exit_crash
+      Worker.exit_crash
   in
   Unix._exit code
 
@@ -218,7 +194,11 @@ let retry_or_poison t (job : Queue.job) reason =
     Queue.mark_poisoned t.q job ~reason
   end
   else begin
-    let b = backoff_s t ~attempt:job.Queue.attempts in
+    (* the supervisor's tested pure schedule, with the daemon's base/cap *)
+    let b =
+      Supervisor.backoff ~base_s:t.cfg.backoff_base_s
+        ~cap_s:t.cfg.backoff_cap_s ~restart:job.Queue.attempts
+    in
     logf t "[serve] job j%d requeued (%s); attempt %d/%d, backoff %.2fs"
       job.Queue.id reason job.Queue.attempts t.cfg.max_attempts b;
     Queue.mark_requeue t.q job ~backoff_s:b ~reason
@@ -234,14 +214,14 @@ let reap t =
         | 0, _ -> true
         | _, status ->
           (match status with
-          | Unix.WEXITED c when c = exit_done ->
+          | Unix.WEXITED c when c = Worker.exit_ok ->
             if Sys.file_exists (report_path t r.job) then begin
               logf t "[serve] job j%d done (attempt %d)" r.job.Queue.id
                 r.job.Queue.attempts;
               Queue.mark_done t.q r.job
             end
             else retry_or_poison t r.job "worker exited 0 without a report"
-          | Unix.WEXITED c when c = exit_error ->
+          | Unix.WEXITED c when c = Worker.exit_error ->
             let msg =
               match read_file (error_path t r.job) with
               | s -> s
@@ -251,7 +231,7 @@ let reap t =
             in
             logf t "[serve] job j%d failed: %s" r.job.Queue.id msg;
             Queue.mark_failed t.q r.job ~error:msg
-          | Unix.WEXITED c when c = exit_partial ->
+          | Unix.WEXITED c when c = Worker.exit_partial ->
             retry_or_poison t r.job
               "job deadline expired (resumable prefix journaled)"
           | Unix.WEXITED c ->
@@ -274,7 +254,7 @@ let watchdog t =
             "[serve] watchdog: job j%d pid %d stuck past its deadline; \
              SIGKILL"
             r.job.Queue.id r.pid;
-          sigkill_reap r.pid;
+          Supervisor.sigkill r.pid;
           retry_or_poison t r.job "stuck past its deadline (watchdog SIGKILL)";
           false
         end
@@ -667,7 +647,7 @@ let stop ?(hard = false) t =
   | Some th -> ( try Thread.join th with _ -> ())
   | None -> ());
   t.scheduler <- None;
-  List.iter (fun r -> sigkill_reap r.pid) t.running;
+  List.iter (fun r -> Supervisor.sigkill r.pid) t.running;
   if not hard then
     (* journal the requeue so a clean shutdown's jobs restart without
        relying on crash replay; a hard stop journals nothing on purpose

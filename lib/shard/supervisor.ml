@@ -53,14 +53,15 @@ let default =
 
 (** The respawn backoff schedule as a pure function: delay before
     respawn attempt [restart] (1-based).  Exponential doubling from
-    [backoff_base_s], clamped at [backoff_cap_s] — deterministic,
+    [base_s], clamped at [cap_s] — deterministic,
     monotone non-decreasing, and bounded, so a crash-looping worker can
     never stampede the host, and tests can pin the exact schedule. *)
-let backoff_s (scfg : config) ~restart =
+let backoff ~base_s ~cap_s ~restart =
   if restart <= 0 then 0.
-  else
-    Float.min scfg.backoff_cap_s
-      (scfg.backoff_base_s *. (2. ** float_of_int (restart - 1)))
+  else Float.min cap_s (base_s *. (2. ** float_of_int (restart - 1)))
+
+let backoff_s (scfg : config) ~restart =
+  backoff ~base_s:scfg.backoff_base_s ~cap_s:scfg.backoff_cap_s ~restart
 
 (** The full schedule a shard walks before its respawn budget is spent:
     [[backoff_s ~restart:1; ...; backoff_s ~restart:max_worker_restarts]]. *)

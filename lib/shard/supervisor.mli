@@ -27,15 +27,22 @@ val default : config
 (** 2 jobs, 3 restarts, 60 s heartbeat timeout, 0.25 s–5 s backoff,
     50 ms poll, no log, fleet off. *)
 
-val backoff_s : config -> restart:int -> float
+val backoff : base_s:float -> cap_s:float -> restart:int -> float
 (** Pure respawn backoff schedule: the delay before respawn attempt
-    [restart] (1-based) — [backoff_base_s] doubled per attempt, clamped
-    at [backoff_cap_s].  Deterministic, monotone non-decreasing, and
-    bounded; [restart <= 0] is 0. *)
+    [restart] (1-based) — [base_s] doubled per attempt, clamped at
+    [cap_s].  Deterministic, monotone non-decreasing, and bounded;
+    [restart <= 0] is 0.  The daemon retries jobs on it too. *)
+
+val backoff_s : config -> restart:int -> float
+(** {!backoff} with the config's [backoff_base_s] and [backoff_cap_s]. *)
 
 val backoff_schedule : config -> float list
 (** The delays a shard walks through its whole respawn budget:
     [List.init max_worker_restarts (fun i -> backoff_s ~restart:(i+1))]. *)
+
+val sigkill : int -> unit
+(** SIGKILL a child and reap it (retrying [waitpid] on EINTR); a child
+    that is already gone is not an error. *)
 
 val run :
   mk:(unit -> Hb_cpu.Machine.t) ->

@@ -621,6 +621,27 @@ let test_float_ops () =
   check_status "float ok" `Exit st;
   Alcotest.(check string) "sqrt 9 = 3" "3" (Machine.output m)
 
+(* The traced run keeps the fuel budget: a spinning program traced for
+   more instructions than [max_instrs] allows stops out of fuel at the
+   budget, the same place [Machine.run] stops it. *)
+let test_traced_fuel () =
+  let config = { Machine.baseline_config with Machine.max_instrs = 100 } in
+  let spin () =
+    Machine.create ~config ~globals:"" (link_one [ Label "spin"; Jmp "spin" ])
+  in
+  let m = spin () in
+  let lines = ref 0 in
+  let st = Machine.run_traced m ~n:1000 ~out:(fun _ -> incr lines) in
+  Alcotest.(check (option string)) "traced run ends out of fuel"
+    (Some "out-of-fuel") (Option.map Machine.status_name st);
+  Alcotest.(check int) "retired instructions" 100
+    m.Machine.stats.Hb_cpu.Stats.instructions;
+  Alcotest.(check int) "traced lines" 100 !lines;
+  let m' = spin () in
+  check_status "plain run" `Fuel (Machine.run m');
+  Alcotest.(check int) "plain run retires the same" 100
+    m'.Machine.stats.Hb_cpu.Stats.instructions
+
 (* Allocation budget of the simulator's hot loop: minor-heap words per
    simulated instruction over a 1M-instruction slice of two Olden
    programs.  The memory, cache, checker and propagation paths allocate
@@ -696,6 +717,7 @@ let () =
           tc "stats invariants on workloads" test_stats_invariants_workload;
           tc "arithmetic and output" test_arith_and_output;
           tc "float operations" test_float_ops;
+          tc "traced run keeps the fuel budget" test_traced_fuel;
           tc "allocation budget per instruction" test_alloc_budget;
           QCheck_alcotest.to_alcotest prop_alu_reference;
         ] );

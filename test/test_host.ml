@@ -245,15 +245,15 @@ let test_parse_port () =
   Alcotest.(check int) "valid port" 9090 (Serve.parse_port "9090");
   Alcotest.(check int) "trimmed" 80 (Serve.parse_port " 80 ")
 
-let http_get port path =
+(* A raw socket exchange, for what the server must survive but
+   [Serve.request] never sends: write [req] as is (empty: connect and go
+   silent) and read to EOF. *)
+let raw_exchange port req =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path
-      in
       ignore (Unix.write_substring fd req 0 (String.length req));
       let buf = Buffer.create 1024 in
       let chunk = Bytes.create 4096 in
@@ -267,10 +267,7 @@ let http_get port path =
       (try loop () with _ -> ());
       Buffer.contents buf)
 
-let body_of response =
-  match String.index_opt response '{' with
-  | Some i -> String.sub response i (String.length response - i)
-  | None -> Alcotest.failf "no JSON body in: %s" response
+let get port path = Serve.request ~port ~meth:"GET" ~path ()
 
 let test_serve_endpoints () =
   let pr = Progress.create () in
@@ -285,22 +282,23 @@ let test_serve_endpoints () =
     (fun () ->
       let port = Serve.port srv in
       Alcotest.(check bool) "ephemeral port resolved" true (port > 0);
-      let h = http_get port "/healthz" in
-      Alcotest.(check bool) "healthz 200" true (contains h "200 OK");
-      Alcotest.(check bool) "healthz body" true (contains h "ok");
-      let m = http_get port "/metrics" in
+      let h = get port "/healthz" in
+      Alcotest.(check int) "healthz 200" 200 h.Serve.code;
+      Alcotest.(check bool) "healthz body" true (contains h.Serve.body "ok");
+      let m = get port "/metrics" in
       Alcotest.(check bool) "openmetrics content type" true
-        (contains m "application/openmetrics-text");
+        (contains
+           (Option.value ~default:""
+              (List.assoc_opt "content-type" m.Serve.headers))
+           "application/openmetrics-text");
       Alcotest.(check bool) "series served" true
-        (contains m "cache_misses 3");
-      Alcotest.(check bool) "EOF framing" true (contains m "# EOF");
-      let p = http_get port "/progress" in
-      (match Json.member "label" (Json.of_string (body_of p)) with
+        (contains m.Serve.body "cache_misses 3");
+      Alcotest.(check bool) "EOF framing" true (contains m.Serve.body "# EOF");
+      let p = get port "/progress" in
+      (match Json.member "label" (Json.of_string p.Serve.body) with
        | Some (Json.String "srv") -> ()
        | _ -> Alcotest.fail "/progress body is not the tracker JSON");
-      let nf = http_get port "/nope" in
-      Alcotest.(check bool) "unknown path 404" true
-        (contains nf "404 Not Found");
+      Alcotest.(check int) "unknown path 404" 404 (get port "/nope").Serve.code;
       (* a second server on the same (now bound) port is a typed error *)
       match Serve.start ~port ~metrics ~progress () with
       | s2 ->
@@ -331,89 +329,36 @@ let test_serve_bounded_reader () =
     ~finally:(fun () -> Serve.stop srv)
     (fun () ->
       let port = Serve.port srv in
+      let still_serving what =
+        Alcotest.(check int) ("still serving after " ^ what) 200
+          (get port "/healthz").Serve.code
+      in
       (* connect and go silent: the server must answer 408, not hang *)
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let buf = Bytes.create 4096 in
-          let b = Buffer.create 256 in
-          (try
-             let rec loop () =
-               let n = Unix.read fd buf 0 (Bytes.length buf) in
-               if n > 0 then begin
-                 Buffer.add_subbytes b buf 0 n;
-                 loop ()
-               end
-             in
-             loop ()
-           with _ -> ());
-          let r = Buffer.contents b in
-          Alcotest.(check bool) "silent socket gets 408" true
-            (contains r "408 Request Timeout");
-          Alcotest.(check bool) "408 body explains the timeout" true
-            (contains r "read timeout"));
+      let r = raw_exchange port "" in
+      Alcotest.(check bool) "silent socket gets 408" true
+        (contains r "408 Request Timeout");
+      Alcotest.(check bool) "408 body explains the timeout" true
+        (contains r "read timeout");
       (* ... and the loop survives to serve the next client *)
-      let h = http_get port "/healthz" in
-      Alcotest.(check bool) "still serving after a timeout" true
-        (contains h "200 OK");
+      still_serving "a timeout";
       (* an oversized request is refused with a typed 413 *)
-      let big = http_get port ("/" ^ String.make 400 'x') in
+      let big =
+        raw_exchange port
+          (Printf.sprintf "GET /%s HTTP/1.1\r\nHost: localhost\r\n\r\n"
+             (String.make 400 'x'))
+      in
       Alcotest.(check bool) "oversized request gets 413" true
         (contains big "413 Content Too Large");
-      Alcotest.(check bool) "still serving after a 413" true
-        (contains (http_get port "/healthz") "200 OK");
+      still_serving "a 413";
       (* handler hook: takes POST /echo, defers everything else *)
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let req =
-            "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello"
-          in
-          ignore (Unix.write_substring fd req 0 (String.length req));
-          let b = Buffer.create 256 in
-          let buf = Bytes.create 4096 in
-          (try
-             let rec loop () =
-               let n = Unix.read fd buf 0 (Bytes.length buf) in
-               if n > 0 then begin
-                 Buffer.add_subbytes b buf 0 n;
-                 loop ()
-               end
-             in
-             loop ()
-           with _ -> ());
-          Alcotest.(check bool) "handler hook answers" true
-            (contains (Buffer.contents b) "hello"));
-      Alcotest.(check bool) "built-ins still reachable" true
-        (contains (http_get port "/healthz") "200 OK");
+      let echo =
+        Serve.request ~port ~meth:"POST" ~path:"/echo" ~body:"hello" ()
+      in
+      Alcotest.(check string) "handler hook answers" "hello" echo.Serve.body;
+      still_serving "the handler hook";
       (* a non-GET with no handler match is a 405, not a hang *)
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let req =
-            "DELETE /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
-          in
-          ignore (Unix.write_substring fd req 0 (String.length req));
-          let b = Buffer.create 256 in
-          let buf = Bytes.create 4096 in
-          (try
-             let rec loop () =
-               let n = Unix.read fd buf 0 (Bytes.length buf) in
-               if n > 0 then begin
-                 Buffer.add_subbytes b buf 0 n;
-                 loop ()
-               end
-             in
-             loop ()
-           with _ -> ());
-          Alcotest.(check bool) "non-GET without handler is 405" true
-            (contains (Buffer.contents b) "405 Method Not Allowed")))
+      Alcotest.(check int) "non-GET without handler is 405" 405
+        (Serve.request ~port ~meth:"DELETE" ~path:"/metrics" ()).Serve.code)
 
 (* ---- campaign byte-identity under the host plane ----------------------- *)
 

@@ -18,6 +18,7 @@ module Build = Hb_runtime.Build
 module Machine = Hb_cpu.Machine
 module Json = Hb_obs.Json
 module Clock = Hb_obs.Clock
+module Serve = Hb_obs.Serve
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -387,30 +388,6 @@ let test_admission () =
 
 (* ---- the daemon end to end -------------------------------------------- *)
 
-let http port ~meth ~path ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s"
-          meth path (String.length body) body
-      in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let rec loop () =
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes buf chunk 0 n;
-          loop ()
-        end
-      in
-      (try loop () with _ -> ());
-      Buffer.contents buf)
-
 (* wait until [pred] on the queue holds, polling; campaigns take real
    wall time, so the budget is generous — the pass case returns fast *)
 let await ?(timeout = 120.) ~what pred =
@@ -461,52 +438,46 @@ let test_daemon_end_to_end () =
     (fun () ->
       let port = Daemon.port d in
       let body = Json.to_string (Proto.spec_to_json e2e_spec) in
-      let r = http port ~meth:"POST" ~path:"/jobs" ~body () in
-      Alcotest.(check bool) "submit accepted (202)" true
-        (contains ~needle:"202 Accepted" r);
+      let r = Serve.request ~port ~meth:"POST" ~path:"/jobs" ~body () in
+      Alcotest.(check int) "submit accepted (202)" 202 r.Serve.code;
       Alcotest.(check bool) "reply names the job" true
-        (contains ~needle:{|"job": "j1"|} r);
+        (contains ~needle:{|"job": "j1"|} r.Serve.body);
       await ~what:"job j1 to finish" (fun () ->
           match job_state d 1 with
           | Queue.Done -> true
           | Queue.Poisoned r | Queue.Failed r ->
             Alcotest.failf "job j1 died: %s" r
           | _ -> false);
-      let status = http port ~meth:"GET" ~path:"/jobs/j1" () in
+      let get path = Serve.request ~port ~meth:"GET" ~path () in
       Alcotest.(check bool) "status shows done" true
-        (contains ~needle:{|"state": "done"|} status);
-      let report = http port ~meth:"GET" ~path:"/jobs/j1/report" () in
-      let expected = expected_report_bytes e2e_spec in
-      Alcotest.(check bool) "report bytes == direct campaign" true
-        (contains ~needle:expected report);
+        (contains ~needle:{|"state": "done"|} (get "/jobs/j1").Serve.body);
+      Alcotest.(check string) "report bytes == direct campaign"
+        (expected_report_bytes e2e_spec)
+        (get "/jobs/j1/report").Serve.body;
       (* live planes stay up alongside the job endpoints *)
-      let m = http port ~meth:"GET" ~path:"/metrics" () in
       Alcotest.(check bool) "metrics served" true
-        (contains ~needle:"hb_serve_done_total 1" m);
-      let p = http port ~meth:"GET" ~path:"/progress" () in
+        (contains ~needle:"hb_serve_done_total 1" (get "/metrics").Serve.body);
       Alcotest.(check bool) "progress served" true
-        (contains ~needle:{|"daemon": "hb-serve"|} p);
+        (contains ~needle:{|"daemon": "hb-serve"|}
+           (get "/progress").Serve.body);
       (* unknown job and not-ready report are typed, not hangs *)
-      Alcotest.(check bool) "unknown job 404" true
-        (contains ~needle:"404"
-           (http port ~meth:"GET" ~path:"/jobs/j9" ()));
-      Alcotest.(check bool) "bad spec 400" true
-        (contains ~needle:"400"
-           (http port ~meth:"POST" ~path:"/jobs" ~body:"{nope" ()));
+      Alcotest.(check int) "unknown job 404" 404 (get "/jobs/j9").Serve.code;
+      Alcotest.(check int) "bad spec 400" 400
+        (Serve.request ~port ~meth:"POST" ~path:"/jobs" ~body:"{nope" ())
+          .Serve.code;
       (* a Done job whose report file vanished (crash before the rename
          was directory-durable, manual deletion) is typed too — and must
          not wedge the daemon's mutex: the planes stay live after *)
       Sys.remove
         (Filename.concat (Queue.job_dir (Daemon.queue d) 1) "report.json");
-      let r = http port ~meth:"GET" ~path:"/jobs/j1/report" () in
-      Alcotest.(check bool) "missing report is a typed 500" true
-        (contains ~needle:{|"error": "report_missing"|} r);
+      let r = get "/jobs/j1/report" in
+      Alcotest.(check int) "missing report is a 500" 500 r.Serve.code;
+      Alcotest.(check bool) "missing report is typed" true
+        (contains ~needle:{|"error": "report_missing"|} r.Serve.body);
       Alcotest.(check bool) "daemon still answers status" true
-        (contains ~needle:{|"state": "done"|}
-           (http port ~meth:"GET" ~path:"/jobs/j1" ()));
+        (contains ~needle:{|"state": "done"|} (get "/jobs/j1").Serve.body);
       Alcotest.(check bool) "metrics still served" true
-        (contains ~needle:"hb_serve_up"
-           (http port ~meth:"GET" ~path:"/metrics" ())))
+        (contains ~needle:"hb_serve_up" (get "/metrics").Serve.body))
 
 let test_daemon_crash_restart_exactly_once () =
   let dir = temp_dir () in
@@ -516,8 +487,8 @@ let test_daemon_crash_restart_exactly_once () =
     let body =
       Json.to_string (Proto.spec_to_json { e2e_spec with Proto.seed })
     in
-    Alcotest.(check bool) "submit accepted" true
-      (contains ~needle:"202" (http port ~meth:"POST" ~path:"/jobs" ~body ()))
+    Alcotest.(check int) "submit accepted" 202
+      (Serve.request ~port ~meth:"POST" ~path:"/jobs" ~body ()).Serve.code
   in
   submit 21;
   submit 22;
@@ -562,7 +533,9 @@ let test_daemon_chaos_crash_retry () =
         { e2e_spec with Proto.runs = 1; chaos = Some (Proto.Crash 1) }
       in
       let body = Json.to_string (Proto.spec_to_json spec) in
-      ignore (http (Daemon.port d) ~meth:"POST" ~path:"/jobs" ~body ());
+      ignore
+        (Serve.request ~port:(Daemon.port d) ~meth:"POST" ~path:"/jobs" ~body
+           ());
       await ~what:"crash-once job to succeed on retry" (fun () ->
           job_state d 1 = Queue.Done);
       let j = Option.get (Queue.find (Daemon.queue d) 1) in
@@ -585,7 +558,9 @@ let test_daemon_hang_poisoned () =
         { e2e_spec with Proto.runs = 1; chaos = Some Proto.Hang }
       in
       let body = Json.to_string (Proto.spec_to_json spec) in
-      ignore (http (Daemon.port d) ~meth:"POST" ~path:"/jobs" ~body ());
+      ignore
+        (Serve.request ~port:(Daemon.port d) ~meth:"POST" ~path:"/jobs" ~body
+           ());
       await ~timeout:30. ~what:"hung job to be poisoned" (fun () ->
           match job_state d 1 with Queue.Poisoned _ -> true | _ -> false);
       let j = Option.get (Queue.find (Daemon.queue d) 1) in
@@ -594,9 +569,11 @@ let test_daemon_hang_poisoned () =
       Alcotest.(check bool) "reason names the watchdog" true
         (contains ~needle:"watchdog" j.Queue.note);
       (* surfaced on the live plane, not just in the queue *)
-      let p = http (Daemon.port d) ~meth:"GET" ~path:"/progress" () in
+      let p =
+        Serve.request ~port:(Daemon.port d) ~meth:"GET" ~path:"/progress" ()
+      in
       Alcotest.(check bool) "poisoned visible in /progress" true
-        (contains ~needle:{|"state": "poisoned"|} p))
+        (contains ~needle:{|"state": "poisoned"|} p.Serve.body))
 
 let test_daemon_overload_typed () =
   let dir = temp_dir () in
@@ -617,21 +594,20 @@ let test_daemon_overload_typed () =
         Json.to_string
           (Proto.spec_to_json { e2e_spec with Proto.chaos = Some Proto.Hang })
       in
-      ignore (http port ~meth:"POST" ~path:"/jobs" ~body ());
-      ignore (http port ~meth:"POST" ~path:"/jobs" ~body ());
-      let r = http port ~meth:"POST" ~path:"/jobs" ~body () in
-      Alcotest.(check bool) "typed 503" true
-        (contains ~needle:"503 Service Unavailable" r);
+      ignore (Serve.request ~port ~meth:"POST" ~path:"/jobs" ~body ());
+      ignore (Serve.request ~port ~meth:"POST" ~path:"/jobs" ~body ());
+      let r = Serve.request ~port ~meth:"POST" ~path:"/jobs" ~body () in
+      Alcotest.(check int) "typed 503" 503 r.Serve.code;
       Alcotest.(check bool) "overloaded error code" true
-        (contains ~needle:{|"error": "overloaded"|} r);
-      Alcotest.(check bool) "Retry-After hint" true
-        (contains ~needle:"Retry-After: 3" r);
+        (contains ~needle:{|"error": "overloaded"|} r.Serve.body);
+      Alcotest.(check (option string)) "Retry-After hint" (Some "3")
+        (List.assoc_opt "retry-after" r.Serve.headers);
       Alcotest.(check bool) "reason names the bound" true
-        (contains ~needle:"bound 2" r);
+        (contains ~needle:"bound 2" r.Serve.body);
       (* shedding is a response, not a hang — and it is counted *)
-      let m = http port ~meth:"GET" ~path:"/metrics" () in
+      let m = Serve.request ~port ~meth:"GET" ~path:"/metrics" () in
       Alcotest.(check bool) "shed counter" true
-        (contains ~needle:"hb_serve_shed_total 1" m))
+        (contains ~needle:"hb_serve_shed_total 1" m.Serve.body))
 
 let () =
   Alcotest.run "serve"
