@@ -1,20 +1,19 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5) and runs Bechamel micro-benchmarks of the
-   simulator's own hot paths.
+   evaluation (Section 5) from simulated counts, and gates those counts
+   against the committed BENCH_hardbound.json.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --exp fig5   # one experiment
      dune exec bench/main.exe -- --list       # experiment index
 
-   One Bechamel Test.make group corresponds to each paper table/figure:
-   the group exercises the simulator paths that the experiment stresses. *)
+   The simulator's host speed is benchmarked by perfbench
+   (perfbench/README.md); the wall times the shard and serve experiments
+   print are advisory. *)
 
 module Figures = Hb_harness.Figures
 module Suite = Hb_harness.Suite
-module Run = Hb_harness.Run
 module Codegen = Hb_minic.Codegen
 module Encoding = Hardbound.Encoding
-module Meta = Hardbound.Meta
 
 let experiments =
   [
@@ -31,12 +30,10 @@ let experiments =
     ("attr", "Per-PC attribution: top hotspots + differential overhead");
     ("timeline", "Timeline: windowed phase samples + shadow census");
     ("flame", "Calling-context profiles: exclusive-sum identity per encoding");
-    ("host", "Host profiling: wall time / sim throughput / GC per config");
     ("shard", "Sharded campaign engine: speedup vs worker count, \
                byte-identical merge");
     ("serve", "Simulation daemon: job round-trip latency, service \
                overhead vs direct campaign, byte-identical reports");
-    ("bechamel", "Micro-benchmarks of the simulator itself");
   ]
 
 let banner title =
@@ -59,13 +56,7 @@ let json_results : (string * Json.t) list ref = ref []
 
 let note_json name j = json_results := (name, j) :: !json_results
 
-(* The shard experiment's speedup block, merged into the wall-trajectory
-   point when --wall-append runs in the same invocation (wall-clock
-   numbers belong on the host-varying channel, never in the gated
-   simulated-cycle artifacts). *)
-let shard_extra : (string * Json.t) list ref = ref []
-
-let rec run_experiment name =
+let run_experiment name =
   match name with
   | "fig5" ->
     banner "Figure 5";
@@ -332,43 +323,14 @@ let rec run_experiment name =
         Hb_workloads.Workloads.all
     in
     note_json name (Json.Obj reports)
-  | "host" ->
-    banner "Host profiling: wall-clock cost of the measurement matrix";
-    (* Host-varying numbers by nature — printed and reported through the
-       host channel (Run.host_json / the wall trajectory), never through
-       the simulated-cycle artifacts. *)
-    let s = Lazy.force suite in
-    Printf.printf "%-12s %-14s %10s %14s %14s %12s\n" "workload" "config"
-      "wall ms" "sim instrs/s" "sim cycles/s" "gc major w";
-    List.iter
-      (fun (w : Suite.per_workload) ->
-        List.iter
-          (fun (config, (r : Run.record)) ->
-            Printf.printf "%-12s %-14s %10.2f %14.0f %14.0f %12d\n"
-              w.Suite.name config (Run.wall_ms r) (Run.sim_ips r)
-              (Run.sim_cps r) r.Run.host.Run.gc_major_words)
-          (Suite.snapshot_runs w))
-      s;
-    let wall ms = List.fold_left ( +. ) 0.0 ms in
-    let total =
-      wall
-        (List.concat_map
-           (fun w ->
-             List.map (fun (_, r) -> Run.wall_ms r) (Suite.snapshot_runs w))
-           s)
-    in
-    Printf.printf "\ntotal measured wall time: %.1f ms across %d runs\n"
-      total
-      (List.length s * 4);
-    note_json name (Suite.wall_point ~label:"bench" s)
   | "shard" ->
     banner "Sharded campaign engine: speedup by worker count";
     (* Wall-clock speedup of the forked supervised engine over the serial
        runner, plus the property the engine is really about: the merged
        report must be byte-identical to the serial one at every worker
        count.  Speedup tracks physical cores — on a single-core host the
-       honest answer is ~1x — and the numbers go to the advisory wall
-       trajectory, never a gate. *)
+       honest answer is ~1x — and the numbers are printed, never a
+       gate. *)
     let module Campaign = Hb_fault.Campaign in
     let module Clock = Hb_obs.Clock in
     let wl = "power" in
@@ -431,8 +393,7 @@ let rec run_experiment name =
                  rows) );
         ]
     in
-    note_json name shard_json;
-    shard_extra := [ ("shard", shard_json) ]
+    note_json name shard_json
   | "serve" ->
     banner "Simulation daemon: service overhead over direct campaigns";
     (* The daemon's whole deal is that serving a job costs bytes-wise
@@ -570,122 +531,9 @@ let rec run_experiment name =
                       ])
                   rows) );
          ])
-  | "bechamel" -> bechamel ()
   | other ->
     Printf.eprintf "unknown experiment %s; use --list\n" other;
     exit 1
-
-(* ---- Bechamel micro-benchmarks ---------------------------------------- *)
-
-and bechamel () =
-  banner "Bechamel micro-benchmarks (simulator hot paths)";
-  let open Bechamel in
-  let open Toolkit in
-  (* Figure 5's machinery: encode/decode and a full HardBound step loop *)
-  let meta = Meta.make ~base:0x100000 ~size:16 in
-  let enc_test scheme =
-    Test.make
-      ~name:("encode+decode " ^ Encoding.scheme_name scheme)
-      (Staged.stage (fun () ->
-           match Encoding.encode scheme ~value:0x100000 meta with
-           | Encoding.Enc_inline { word; tag; aux } ->
-             ignore (Encoding.decode scheme ~word ~tag ~aux)
-           | Encoding.Enc_shadow { word; tag } ->
-             ignore (Encoding.decode scheme ~word ~tag ~aux:0)
-           | Encoding.Enc_non_pointer w ->
-             ignore (Encoding.decode scheme ~word:w ~tag:0 ~aux:0)))
-  in
-  (* Figure 4's tag cache: hierarchy accesses *)
-  let hier =
-    Hb_cache.Hierarchy.create (Hb_cache.Hierarchy.default_params ~tag_bits:1)
-  in
-  let counter = ref 0 in
-  let cache_test =
-    Test.make ~name:"hierarchy access (data+tag)"
-      (Staged.stage (fun () ->
-           incr counter;
-           let a = 0x100000 + (!counter * 4 land 0xFFFF) in
-           ignore (Hb_cache.Hierarchy.access hier Hb_cache.Hierarchy.Data a);
-           ignore
-             (Hb_cache.Hierarchy.access hier Hb_cache.Hierarchy.Tag_meta a)))
-  in
-  (* whole-machine throughput on treeadd, baseline vs hardbound *)
-  let treeadd = Hb_workloads.Workloads.find "treeadd" in
-  let mk_machine ?(attr = false) ?(timeline = false) mode =
-    let image, globals = Hb_runtime.Build.compile ~mode treeadd.source in
-    fun () ->
-      let config = Hb_runtime.Build.config_for mode in
-      let m = Hb_cpu.Machine.create ~config ~globals image in
-      if attr then
-        Hb_cpu.Machine.enable_attr ~line_base:Hb_runtime.Build.runtime_lines m;
-      if timeline then Hb_cpu.Machine.enable_timeline ~interval:10_000 m;
-      (* run a slice: enough to measure steady-state step cost *)
-      (try
-         for _ = 1 to 200_000 do
-           Hb_cpu.Machine.step m
-         done
-       with _ -> ());
-      ()
-  in
-  let machine_tests =
-    [
-      Test.make ~name:"machine 200k steps (baseline)"
-        (Staged.stage (mk_machine Codegen.Nochecks));
-      Test.make ~name:"machine 200k steps (hardbound)"
-        (Staged.stage (mk_machine Codegen.Hardbound));
-      (* the attribution-off guarantee's counterpart: how much turning it
-         ON costs relative to the row above *)
-      Test.make ~name:"machine 200k steps (hardbound+attr)"
-        (Staged.stage (mk_machine ~attr:true Codegen.Hardbound));
-      (* ditto for sampling: the cost of the per-window census *)
-      Test.make ~name:"machine 200k steps (hardbound+timeline)"
-        (Staged.stage (mk_machine ~timeline:true Codegen.Hardbound));
-    ]
-  in
-  let compile_test =
-    Test.make ~name:"compile treeadd (full pipeline)"
-      (Staged.stage (fun () ->
-           ignore (Hb_runtime.Build.compile ~mode:Codegen.Hardbound
-                     treeadd.source)))
-  in
-  let grouped =
-    Test.make_grouped ~name:"hardbound"
-      ([ enc_test Encoding.Uncompressed; enc_test Encoding.Extern4;
-         enc_test Encoding.Intern4; enc_test Encoding.Intern11; cache_test;
-         compile_test ]
-      @ machine_tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  let rows = List.sort compare rows in
-  List.iter
-    (fun (name, ols_result) ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> Printf.printf "%-48s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-48s %12s\n" name "n/a")
-    rows;
-  note_json "bechamel"
-    (Json.Obj
-       [
-         ("experiment", Json.String "bechamel");
-         ( "ns_per_run",
-           Json.Obj
-             (List.map
-                (fun (name, ols_result) ->
-                  ( name,
-                    match Analyze.OLS.estimates ols_result with
-                    | Some (est :: _) -> Json.Float est
-                    | _ -> Json.Null ))
-                rows) );
-       ])
 
 let write_json path =
   let oc = open_out path in
@@ -715,14 +563,7 @@ let () =
   let json_path, args = split_opt "--json" args in
   let baseline_write, args = split_opt "--baseline-write" args in
   let baseline_path, args = split_opt "--baseline" args in
-  let wall_append, args = split_opt "--wall-append" args in
-  let wall_label, args = split_opt "--wall-label" args in
-  let trend_path, args = split_opt "--trend" args in
-  let trend_json, args = split_opt "--trend-json" args in
-  let gating =
-    baseline_write <> None || baseline_path <> None || wall_append <> None
-    || trend_path <> None
-  in
+  let gating = baseline_write <> None || baseline_path <> None in
   (match args with
    | [ "--list" ] ->
      List.iter (fun (k, d) -> Printf.printf "%-12s %s\n" k d) experiments
@@ -732,30 +573,8 @@ let () =
    | _ ->
      prerr_endline
        "usage: main.exe [--list | --exp <name>] [--json FILE] \
-        [--baseline FILE] [--baseline-write FILE] [--wall-append FILE] \
-        [--wall-label LABEL] [--trend FILE [--trend-json OUT]]";
+        [--baseline FILE] [--baseline-write FILE]";
      exit 1);
-  (* Wall-trend analysis of a committed trajectory: a pure function of
-     the document (no suite collection), so it runs standalone in CI as
-     a cheap advisory artifact. *)
-  (match trend_path with
-   | None ->
-     if trend_json <> None then begin
-       prerr_endline "error: --trend-json needs --trend FILE";
-       exit 1
-     end
-   | Some path ->
-     let trajectory = read_json path in
-     print_string (Suite.trend_table ~trajectory ());
-     (match trend_json with
-      | None -> ()
-      | Some out ->
-        let oc = open_out out in
-        output_string oc
-          (Json.to_string_pretty (Suite.trend ~trajectory ()));
-        output_char oc '\n';
-        close_out oc;
-        Printf.eprintf "[bench] wrote wall-trend analysis %s\n%!" out));
   (* Perf-trajectory gate: record / compare the committed
      BENCH_hardbound.json snapshot (any instruction, uop or cycle count
      that differs fails). *)
@@ -785,32 +604,4 @@ let () =
            regenerate it with --baseline-write in the same change\n"
           path;
         exit 1));
-  (* Host wall-clock trajectory: append a point per PR to BENCH_wall.json.
-     Advisory by design — wall time depends on the machine that ran it,
-     so out-of-band drift prints notes instead of failing. *)
-  (match wall_append with
-   | None -> ()
-   | Some path ->
-     let label = Option.value wall_label ~default:"local" in
-     let prior =
-       if Sys.file_exists path then Some (read_json path) else None
-     in
-     (match prior with
-      | Some t ->
-        List.iter
-          (fun m -> Printf.eprintf "[bench] WALL %s\n" m)
-          (Suite.wall_advisory ~trajectory:t (Lazy.force suite))
-      | None -> ());
-     let doc =
-       Suite.append_wall ~extra:!shard_extra ~trajectory:prior ~label
-         (Lazy.force suite)
-     in
-     let oc = open_out path in
-     output_string oc (Json.to_string_pretty doc);
-     output_char oc '\n';
-     close_out oc;
-     Printf.eprintf
-       "[bench] appended wall point %S to %s (advisory trajectory, not a \
-        gate)\n%!"
-       label path);
   match json_path with None -> () | Some path -> write_json path

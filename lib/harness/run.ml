@@ -8,19 +8,6 @@ module Encoding = Hardbound.Encoding
 module Hierarchy = Hb_cache.Hierarchy
 module Layout = Hb_mem.Layout
 module Physmem = Hb_mem.Physmem
-module Host = Hb_obs.Host
-
-(** Host-side cost of producing one record (compile + simulate), in wall
-    nanoseconds and GC work.  Host-varying by nature: it never enters
-    {!record_json} or any byte-identical artifact — it feeds the
-    [hb_host_*] gauges and the advisory wall-time trajectory only. *)
-type host_cost = {
-  wall_ns : int;
-  gc_minor_words : int;
-  gc_major_words : int;
-  gc_minor_gcs : int;
-  gc_major_gcs : int;
-}
 
 type record = {
   workload : string;
@@ -41,22 +28,11 @@ type record = {
   shadow_pages : int;
   ptr_loads_shadow : int;
   ptr_stores_shadow : int;
-  host : host_cost;
 }
 
 let measure ?(scheme = Encoding.Extern4) ?(checked_deref_uop = false)
     ~(mode : Codegen.mode) (w : Hb_workloads.Workloads.t) : record =
-  (* one ambient span per measured run (no-op without a profiler), plus
-     an unconditional inline timing so the wall trajectory always has
-     its numbers *)
-  Host.span
-    (Printf.sprintf "measure:%s/%s/%s" w.name (Codegen.mode_name mode)
-       (Encoding.scheme_name scheme))
-  @@ fun () ->
-  let (status, m), timing =
-    Host.timed (fun () ->
-        Build.run ~scheme ~checked_deref_uop ~mode w.source)
-  in
+  let status, m = Build.run ~scheme ~checked_deref_uop ~mode w.source in
   (match status with
    | Machine.Exited 0 -> ()
    | st ->
@@ -64,8 +40,6 @@ let measure ?(scheme = Encoding.Extern4) ?(checked_deref_uop = false)
        (Codegen.mode_name mode) (Encoding.scheme_name scheme)
        (Machine.status_name st));
   let s = m.Machine.stats in
-  Host.annotate_live "instrs" s.Stats.instructions;
-  Host.annotate_live "cycles" (Stats.cycles s);
   let pages r = Physmem.pages_touched_in m.Machine.mem r in
   {
     workload = w.name;
@@ -87,14 +61,6 @@ let measure ?(scheme = Encoding.Extern4) ?(checked_deref_uop = false)
     shadow_pages = pages Layout.Shadow_space;
     ptr_loads_shadow = s.Stats.ptr_loads_shadow;
     ptr_stores_shadow = s.Stats.ptr_stores_shadow;
-    host =
-      {
-        wall_ns = timing.Host.t_wall_ns;
-        gc_minor_words = int_of_float timing.Host.t_gc.Host.minor_words;
-        gc_major_words = int_of_float timing.Host.t_gc.Host.major_words;
-        gc_minor_gcs = timing.Host.t_gc.Host.minor_gcs;
-        gc_major_gcs = timing.Host.t_gc.Host.major_gcs;
-      };
   }
 
 let ratio a b = float_of_int a /. float_of_int b
@@ -141,33 +107,6 @@ let record_json (r : record) : Json.t =
       ("shadow_pages", Json.Int r.shadow_pages);
       ("ptr_loads_shadow", Json.Int r.ptr_loads_shadow);
       ("ptr_stores_shadow", Json.Int r.ptr_stores_shadow);
-    ]
-
-(* Host-varying fields are serialized by their own function so they can
-   never slip into [record_json], which byte-identical artifacts and the
-   committed simulated-cycle baseline are built from. *)
-
-let wall_ms (r : record) = float_of_int r.host.wall_ns /. 1e6
-
-(** Simulated instructions retired per host wall-clock second. *)
-let sim_ips (r : record) =
-  if r.host.wall_ns <= 0 then 0.
-  else float_of_int r.instructions /. (float_of_int r.host.wall_ns /. 1e9)
-
-let sim_cps (r : record) =
-  if r.host.wall_ns <= 0 then 0.
-  else float_of_int r.cycles /. (float_of_int r.host.wall_ns /. 1e9)
-
-let host_json (r : record) : Json.t =
-  Json.Obj
-    [
-      ("wall_ms", Json.Float (wall_ms r));
-      ("sim_ips", Json.Float (sim_ips r));
-      ("sim_cps", Json.Float (sim_cps r));
-      ("gc_minor_words", Json.Int r.host.gc_minor_words);
-      ("gc_major_words", Json.Int r.host.gc_major_words);
-      ("gc_minor_gcs", Json.Int r.host.gc_minor_gcs);
-      ("gc_major_gcs", Json.Int r.host.gc_major_gcs);
     ]
 
 let decomposition_json (d : decomposition) : Json.t =

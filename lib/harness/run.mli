@@ -1,17 +1,5 @@
 (** Single-run measurement record: everything Figures 5, 6 and 7 need. *)
 
-(** Host-side cost of producing one record (compile + simulate): wall
-    nanoseconds and GC work.  Host-varying — kept out of {!record_json}
-    and every byte-identical artifact; feeds the [hb_host_*] gauges and
-    the advisory wall-time trajectory only. *)
-type host_cost = {
-  wall_ns : int;
-  gc_minor_words : int;
-  gc_major_words : int;
-  gc_minor_gcs : int;
-  gc_major_gcs : int;
-}
-
 type record = {
   workload : string;
   mode : Hb_minic.Codegen.mode;
@@ -31,7 +19,6 @@ type record = {
   shadow_pages : int;
   ptr_loads_shadow : int;
   ptr_stores_shadow : int;
-  host : host_cost;
 }
 
 val measure :
@@ -41,7 +28,8 @@ val measure :
   Hb_workloads.Workloads.t ->
   record
 (** Run one workload to completion under one configuration.  Fails if the
-    program does not exit cleanly. *)
+    program does not exit cleanly.  The record holds simulated values
+    only, so equal arguments give equal records. *)
 
 val ratio : int -> int -> float
 
@@ -59,18 +47,6 @@ type decomposition = {
 val decompose : baseline:record -> record -> decomposition
 
 val record_json : record -> Hb_obs.Json.t
-(** Every measured *simulated* counter of one run as a flat JSON
-    object.  Deliberately excludes {!host_cost} so the documents built
-    from it stay byte-identical across runs. *)
-
-val wall_ms : record -> float
-val sim_ips : record -> float
-(** Simulated instructions retired per host wall-clock second. *)
-
-val sim_cps : record -> float
-(** Simulated cycles per host wall-clock second. *)
-
-val host_json : record -> Hb_obs.Json.t
-(** The host-varying channel: wall_ms, sim_ips/sim_cps, GC work. *)
+(** Every measured counter of one run as a flat JSON object. *)
 
 val decomposition_json : decomposition -> Hb_obs.Json.t

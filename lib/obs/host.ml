@@ -169,26 +169,12 @@ let finish t =
   List.iter close_span_record t.stack;
   t.stack <- []
 
-(* ---- inline timing ---------------------------------------------------- *)
-
-type timing = { t_wall_ns : int; t_gc : gc_delta }
-
-(* One-shot phase measurement for callers that want the numbers in hand
-   (the harness records wall cost per measured run) without owning a
-   profile tree.  Keeps the raw clock confined to [lib/obs]. *)
-let timed f =
-  let g0 = Gc.quick_stat () in
-  let t0 = Clock.now_ns () in
-  let x = f () in
-  let wall = Int64.to_int (Int64.sub (Clock.now_ns ()) t0) in
-  (x, { t_wall_ns = wall; t_gc = gc_delta g0 (Gc.quick_stat ()) })
-
 (* ---- the ambient profiler ------------------------------------------- *)
 
-(* One profiler per process is the common case (a CLI run, a bench
-   sweep); the ambient instance lets deep callees open spans without
-   threading a [t] through every signature.  When nothing is installed,
-   [span] costs exactly one option check. *)
+(* One profiler per process is the common case (a CLI run); the ambient
+   instance lets deep callees open spans without threading a [t] through
+   every signature.  When nothing is installed, [span] costs exactly one
+   option check. *)
 
 let current : t option ref = ref None
 

@@ -68,17 +68,10 @@ val sample : ?counts:(string * int) list -> t -> unit
 val finish : t -> unit
 (** Close every still-open span, root included; call before dumping. *)
 
-type timing = { t_wall_ns : int; t_gc : gc_delta }
-
-val timed : (unit -> 'a) -> 'a * timing
-(** Measure one phase inline (wall ns + GC delta) without a profile
-    tree; the harness uses it to cost each measured run.  Keeps the raw
-    clock confined to [lib/obs]. *)
-
 (** {2 The ambient profiler}
 
     One profiler per process is the common case; the ambient instance
-    lets deep callees ({!Hb_harness.Run}, campaigns) open spans without
+    lets deep callees (campaigns, the shard engine) open spans without
     threading a [t] through every signature.  When nothing is installed
     every hook costs one option check. *)
 

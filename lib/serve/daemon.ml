@@ -12,8 +12,8 @@
       the same spec (cmp-enforced in CI);
     - the scheduler holds one mutex for queue + worker state; HTTP
       handlers take the same mutex, and neither ever blocks on a worker
-      (children are reaped with [WNOHANG], stuck ones SIGKILLed by the
-      watchdog). *)
+      (children are reaped with the non-blocking [Worker.poll], stuck
+      ones SIGKILLed by the watchdog). *)
 
 module Json = Hb_obs.Json
 module Clock = Hb_obs.Clock
@@ -209,39 +209,33 @@ let reap t =
   t.running <-
     List.filter
       (fun r ->
-        match Unix.waitpid [ Unix.WNOHANG ] r.pid with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-        | 0, _ -> true
-        | _, status ->
-          (match status with
-          | Unix.WEXITED c when c = Worker.exit_ok ->
-            if Sys.file_exists (report_path t r.job) then begin
-              logf t "[serve] job j%d done (attempt %d)" r.job.Queue.id
-                r.job.Queue.attempts;
-              Queue.mark_done t.q r.job
-            end
-            else retry_or_poison t r.job "worker exited 0 without a report"
-          | Unix.WEXITED c when c = Worker.exit_error ->
-            let msg =
-              match read_file (error_path t r.job) with
-              | s -> s
-              | exception Sys_error _ ->
-                "worker failed with a typed error before it could be \
-                 recorded"
-            in
-            logf t "[serve] job j%d failed: %s" r.job.Queue.id msg;
-            Queue.mark_failed t.q r.job ~error:msg
-          | Unix.WEXITED c when c = Worker.exit_partial ->
-            retry_or_poison t r.job
-              "job deadline expired (resumable prefix journaled)"
-          | Unix.WEXITED c ->
-            retry_or_poison t r.job
-              (Printf.sprintf "worker crashed (exit code %d)" c)
-          | Unix.WSIGNALED sg ->
-            retry_or_poison t r.job
-              (Printf.sprintf "worker killed by signal %d" sg)
-          | Unix.WSTOPPED _ -> ());
-          (match status with Unix.WSTOPPED _ -> true | _ -> false))
+        match Worker.poll r.pid with
+        | None -> true
+        | Some Worker.Ok ->
+          if Sys.file_exists (report_path t r.job) then begin
+            logf t "[serve] job j%d done (attempt %d)" r.job.Queue.id
+              r.job.Queue.attempts;
+            Queue.mark_done t.q r.job
+          end
+          else retry_or_poison t r.job "worker exited 0 without a report";
+          false
+        | Some Worker.Error ->
+          let msg =
+            match read_file (error_path t r.job) with
+            | s -> s
+            | exception Sys_error _ ->
+              "worker failed with a typed error before it could be recorded"
+          in
+          logf t "[serve] job j%d failed: %s" r.job.Queue.id msg;
+          Queue.mark_failed t.q r.job ~error:msg;
+          false
+        | Some Worker.Partial ->
+          retry_or_poison t r.job
+            "job deadline expired (resumable prefix journaled)";
+          false
+        | Some (Worker.Crashed reason) ->
+          retry_or_poison t r.job ("worker " ^ reason);
+          false)
       t.running
 
 let watchdog t =

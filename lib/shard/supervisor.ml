@@ -1,7 +1,7 @@
 (** Worker supervision: fork, watch, kill, respawn, degrade.
 
     The parent forks one {!Worker.child} per shard, then polls: reaping
-    exits ([waitpid WNOHANG]), watching liveness (a worker's shard
+    exits ({!Worker.poll}), watching liveness (a worker's shard
     journal must keep growing — every run appends, and heartbeats cover
     the gaps), SIGKILLing anything silent past the heartbeat timeout,
     and respawning dead workers with exponential backoff.  A respawned
@@ -201,9 +201,8 @@ let check scfg ~mk ~cfg ~golden ~deadline slot =
     else if Clock.now_ns () >= at_ns then
       spawn scfg ~mk ~cfg ~golden ~deadline slot
   | Running r -> (
-    match Unix.waitpid [ Unix.WNOHANG ] r.pid with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | 0, _ ->
+    match Worker.poll r.pid with
+    | None ->
       (* alive: liveness = the shard journal keeps growing (every run
          record and heartbeat appends bytes) *)
       let size = shard_size slot.path in
@@ -225,24 +224,19 @@ let check scfg ~mk ~cfg ~golden ~deadline slot =
           respawn_or_exhaust scfg ~deadline slot "hung (watchdog)"
         end
       end
-    | _, Unix.WEXITED code when code = Worker.exit_ok ->
+    | Some Worker.Ok ->
       logf scfg "[shard] worker %d pid %d done" slot.shard r.pid;
       slot.state <- Done;
       set_row_state slot "done";
       (match slot.row with None -> () | Some row -> row.Progress.pid <- None)
-    | _, Unix.WEXITED code when code = Worker.exit_partial ->
+    | Some Worker.Partial ->
       slot.state <- Partial;
       set_row_state slot "partial"
-    | _, Unix.WEXITED code when code = Worker.exit_error ->
+    | Some Worker.Error ->
       slot.state <- Failed (journaled_error ~ccfg:cfg ~jobs:scfg.jobs slot);
       set_row_state slot "failed"
-    | _, Unix.WEXITED code ->
-      respawn_or_exhaust scfg ~deadline slot
-        (Printf.sprintf "exited with code %d" code)
-    | _, Unix.WSIGNALED sg ->
-      respawn_or_exhaust scfg ~deadline slot
-        (Printf.sprintf "killed by signal %d" sg)
-    | _, Unix.WSTOPPED _ -> ())
+    | Some (Worker.Crashed reason) ->
+      respawn_or_exhaust scfg ~deadline slot reason)
 
 (* Refresh the shared progress tracker from the shard journals: per-slot
    completion counts and the global outcome tally.  Read-only and

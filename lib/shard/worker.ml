@@ -14,11 +14,24 @@ module Journal = Hb_recover.Journal
 module Deadline = Hb_recover.Deadline
 module Fleet = Hb_obs.Fleet
 
-(* Exit-code protocol, read by the supervisor's [waitpid]. *)
+(* Exit-code protocol, classified by [poll]. *)
 let exit_ok = 0
 let exit_partial = 4 (* wall-clock deadline expired; slice incomplete *)
 let exit_error = 3 (* typed Hb_error; journaled as a shard-error record *)
 let exit_crash = 5 (* anything else; respawn may help *)
+
+type exit = Ok | Partial | Error | Crashed of string
+
+let poll pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+  | 0, _ | _, Unix.WSTOPPED _ -> None
+  | _, Unix.WEXITED c when c = exit_ok -> Some Ok
+  | _, Unix.WEXITED c when c = exit_partial -> Some Partial
+  | _, Unix.WEXITED c when c = exit_error -> Some Error
+  | _, Unix.WEXITED c -> Some (Crashed (Printf.sprintf "exited with code %d" c))
+  | _, Unix.WSIGNALED sg ->
+    Some (Crashed (Printf.sprintf "killed by signal %d" sg))
 
 let run_inline ~mk ~(cfg : Campaign.config) ~golden ~jobs ~shard ~path
     ?(fleet = false) ?(deadline = Deadline.none) () : Campaign.report =

@@ -14,6 +14,19 @@ val exit_error : int
 val exit_crash : int
 (** Untyped failure; a respawn may recover. *)
 
+(** How a forked worker ended, by the codes above. *)
+type exit =
+  | Ok
+  | Partial
+  | Error
+  | Crashed of string
+      (** Any other exit code, or a signal: ["exited with code N"] or
+          ["killed by signal N"]. *)
+
+val poll : int -> exit option
+(** Non-blocking [waitpid] on a forked worker: [None] while it runs (or
+    the wait is interrupted), [Some] once it has exited and been reaped. *)
+
 val run_inline :
   mk:(unit -> Hb_cpu.Machine.t) ->
   cfg:Campaign.config ->

@@ -48,6 +48,9 @@ let test_uop_identity () =
 
 let test_baseline_is_clean () =
   let r = Run.measure ~mode:Codegen.Nochecks treeadd in
+  (* the record holds simulated values only: measuring twice is [=] *)
+  Alcotest.(check bool) "record is deterministic" true
+    (r = Run.measure ~mode:Codegen.Nochecks treeadd);
   Alcotest.(check int) "no setbounds" 0 r.Run.setbound_instrs;
   Alcotest.(check int) "no metadata uops" 0 r.Run.metadata_uops;
   Alcotest.(check int) "no tag stalls" 0 r.Run.tag_stalls;
@@ -201,128 +204,6 @@ let test_baseline_gate_exact () =
       [ "power/baseline: cycles"; "power/hb-extern-4: uops";
         "power/hb-intern-11: instructions" ]
 
-let test_wall_point_nproc () =
-  let point = Suite.wall_point ~label:"t" (Lazy.force power_suite) in
-  Alcotest.(check (option int)) "nproc stamped"
-    (Some (Domain.recommended_domain_count ()))
-    (Option.bind (Json.member "nproc" point) Json.to_int)
-
-(* ---- wall-trend analysis (advisory) ----------------------------------- *)
-
-let trajectory points =
-  Json.Obj
-    [
-      ("bench", Json.String "hb-wall-trajectory");
-      ("version", Json.Int 1);
-      ( "points",
-        Json.List
-          (List.map
-             (fun (label, entries) ->
-               Json.Obj
-                 [
-                   ("label", Json.String label);
-                   ( "entries",
-                     Json.List
-                       (List.map
-                          (fun (w, c, wall, ips, gc) ->
-                            Json.Obj
-                              [
-                                ("workload", Json.String w);
-                                ("config", Json.String c);
-                                ("wall_ms", Json.Float wall);
-                                ("sim_ips", Json.Float ips);
-                                ("gc_major_words", Json.Int gc);
-                              ])
-                          entries) );
-                 ])
-             points) );
-    ]
-
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
-
-(* A single-point trajectory has nothing to compare: the report must say
-   so in well-formed text/JSON instead of an empty table. *)
-let test_trend_single_point () =
-  let t = trajectory [ ("pr1", [ ("treeadd", "baseline", 10.0, 1e6, 5) ]) ] in
-  let table = Suite.trend_table ~trajectory:t () in
-  Alcotest.(check bool) "counts one point" true (contains table "1 point");
-  Alcotest.(check bool) "says nothing to compare" true
-    (contains table "nothing to compare");
-  match Suite.trend ~trajectory:t () with
-  | Json.Obj kvs ->
-    Alcotest.(check bool) "points reported" true
-      (List.assoc_opt "points" kvs = Some (Json.Int 1));
-    Alcotest.(check bool) "steps list empty, not missing" true
-      (List.assoc_opt "steps" kvs = Some (Json.List []))
-  | _ -> Alcotest.fail "trend is not an object"
-
-(* A zero-wall point must not drive the geomean to 0/-inf/nan: non-
-   positive ratios are excluded, like the ips geomean. *)
-let test_trend_zero_wall_guard () =
-  let t =
-    trajectory
-      [
-        ( "pr1",
-          [
-            ("treeadd", "baseline", 10.0, 1e6, 5);
-            ("mst", "baseline", 8.0, 1e6, 5);
-          ] );
-        ( "pr2",
-          [
-            ("treeadd", "baseline", 0.0, 0.0, 5);
-            ("mst", "baseline", 16.0, 1e6, 5);
-          ] );
-      ]
-  in
-  match Suite.trend ~trajectory:t () with
-  | Json.Obj _ as doc ->
-    let step =
-      match Option.bind (Json.member "steps" doc) Json.to_list with
-      | Some [ s ] -> s
-      | _ -> Alcotest.fail "expected exactly one step"
-    in
-    let summary =
-      match Json.member "summary" step with
-      | Some s -> s
-      | None -> Alcotest.fail "step has no summary"
-    in
-    (match Json.member "wall_ratio_geomean" summary with
-     | Some (Json.Float g) ->
-       Alcotest.(check bool) "geomean is finite and positive" true
-         (Float.is_finite g && g > 0.0);
-       (* only the surviving mst ratio (x2.0) contributes *)
-       Alcotest.(check (float 1e-9)) "geomean ignores the zero-wall entry" 2.0 g
-     | _ -> Alcotest.fail "no wall geomean");
-    (* the zero-wall row still renders without poisoning the table *)
-    let table = Suite.trend_table ~trajectory:t () in
-    Alcotest.(check bool) "table renders both entries" true
-      (contains table "treeadd" && contains table "mst");
-    Alcotest.(check bool) "no nan leaked into the table" false
-      (contains table "nan")
-  | _ -> Alcotest.fail "trend is not an object"
-
-(* A zero wall_ms in the *from* point drops the pair entirely (ratio
-   undefined), leaving a well-formed report over the remaining entries. *)
-let test_trend_zero_wall_prior () =
-  let t =
-    trajectory
-      [
-        ("pr1", [ ("treeadd", "baseline", 0.0, 1e6, 5) ]);
-        ("pr2", [ ("treeadd", "baseline", 16.0, 1e6, 5) ]);
-      ]
-  in
-  match Option.bind (Json.member "steps" (Suite.trend ~trajectory:t ())) Json.to_list with
-  | Some [ step ] ->
-    (match Option.bind (Json.member "entries" step) Json.to_list with
-     | Some entries ->
-       Alcotest.(check int) "undefined-ratio pair dropped" 0
-         (List.length entries)
-     | None -> Alcotest.fail "step has no entries")
-  | _ -> Alcotest.fail "expected exactly one step"
-
 let () =
   let tc name f = Alcotest.test_case name `Slow f in
   Alcotest.run "harness"
@@ -345,15 +226,5 @@ let () =
       ( "gate",
         [
           tc "exact instruction/uop/cycle gate" test_baseline_gate_exact;
-          tc "wall point records nproc" test_wall_point_nproc;
-        ] );
-      ( "trend",
-        [
-          Alcotest.test_case "single-point trajectory reports cleanly" `Quick
-            test_trend_single_point;
-          Alcotest.test_case "zero-wall point cannot poison the geomean" `Quick
-            test_trend_zero_wall_guard;
-          Alcotest.test_case "zero-wall prior drops the pair" `Quick
-            test_trend_zero_wall_prior;
         ] );
     ]

@@ -119,11 +119,6 @@ let test_span_closes_on_raise () =
       (Int64.compare sp.Host.wall_ns 0L >= 0)
   | _ -> Alcotest.fail "expected exactly one child"
 
-let test_timed () =
-  let v, tm = Host.timed (fun () -> 41 + 1) in
-  Alcotest.(check int) "value passes through" 42 v;
-  Alcotest.(check bool) "wall_ns non-negative" true (tm.Host.t_wall_ns >= 0)
-
 (* ---- sinks ------------------------------------------------------------ *)
 
 let test_sinks_parse_back () =
@@ -429,7 +424,6 @@ let () =
           tc "doctored child-sum rejected" test_doctored_sum_rejected;
           tc "open span flagged; close misuse typed" test_open_span_is_an_error;
           tc "span closes when the body raises" test_span_closes_on_raise;
-          tc "inline timing" test_timed;
           tc "JSON + chrome sinks parse back" test_sinks_parse_back;
           tc "ambient profiler + hb_host_* export" test_ambient_and_export;
         ] );
