@@ -980,7 +980,7 @@ let run file workload mode scheme temporal stats stats_format asm emit_asm
         print_string
           (Hb_isa.Printer.program_str (Hb_isa.Parser.parse_program source))
       else begin
-        let compiled = Hb_minic.Driver.compile_source ~mode source in
+        let compiled = Hb_minic.Driver.compile_source ~line_base:0 ~mode source in
         print_string (Hb_isa.Printer.program_str compiled.Codegen.program)
       end;
       0

@@ -3,19 +3,29 @@
     Only hit/miss behaviour is modelled (the timing simulator charges a
     fixed fill latency per miss); writeback traffic is not separately
     charged, matching the paper's published hierarchy parameters which give
-    miss penalties only. *)
+    miss penalties only.
+
+    Way slot [i] ([set * assoc + way]) is 16 bytes of uninitialised byte
+    storage at offset [16 * i]: its tag, then its LRU stamp, as raw 64-bit
+    words.  A set's slots are written (tags -1, stamps 0) the first time
+    the set is touched, so creating the paper's 4MB L2 writes nothing but
+    its 32K fill bytes, and the major GC never scans the model. *)
 
 type t = {
   name : string;
   block_bits : int;
   set_bits : int;
   assoc : int;
-  tags : int array;     (* sets * assoc; -1 = invalid *)
-  stamp : int array;    (* LRU timestamps *)
+  ways : Bytes.t;       (* sets * assoc slots: tag (-1 = invalid), stamp *)
+  filled : Bytes.t;     (* one byte per set: '\001' once its slots are written *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
 }
+
+(* Unchecked: every offset used is inside [ways] by construction. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
@@ -33,8 +43,8 @@ let create ~name ~size_bytes ~assoc ~block_bytes =
     block_bits = log2 block_bytes;
     set_bits = log2 sets;
     assoc;
-    tags = Array.make (sets * assoc) (-1);
-    stamp = Array.make (sets * assoc) 0;
+    ways = Bytes.create (sets * assoc * 16);
+    filled = Bytes.make sets '\000';
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -42,57 +52,92 @@ let create ~name ~size_bytes ~assoc ~block_bytes =
 
 let num_sets t = 1 lsl t.set_bits
 
-(* Way slot of [tag] in the set starting at [base], or [base + assoc] on
-   a miss: a plain loop, so a lookup allocates neither a closure nor an
-   option. *)
-let find_way t base tag =
-  let limit = base + t.assoc in
-  let i = ref base in
-  while !i < limit && Array.unsafe_get t.tags !i <> tag do
-    incr i
+let[@inline] is_filled t set = Bytes.unsafe_get t.filled set <> '\000'
+
+let fill t set =
+  for i = set * t.assoc to ((set + 1) * t.assoc) - 1 do
+    set64 t.ways (i lsl 4) (-1L);
+    set64 t.ways ((i lsl 4) + 8) 0L
   done;
-  !i
+  Bytes.unsafe_set t.filled set '\001'
 
 (** Access a byte address; returns [true] on hit.  A miss installs the
-    block, evicting the LRU way (the first way with the smallest stamp). *)
-let access t addr =
-  t.clock <- t.clock + 1;
-  t.accesses <- t.accesses + 1;
+    block, evicting the LRU way (the first way with the smallest stamp).
+
+    This is the hit path of every simulated memory access, so it is
+    written for the native compiler: the fill check is one byte load and
+    a compare, a set's first touch leaves by a tail call (the hot path
+    keeps nothing live across a call), the ways are walked by byte
+    offset, and tags and stamps are compared as unboxed [int64]s. *)
+let rec access t addr =
   let block = addr lsr t.block_bits in
   let set = block land (num_sets t - 1) in
-  let tag = block lsr t.set_bits in
-  let base = set * t.assoc in
-  let way = find_way t base tag in
-  if way < base + t.assoc then begin
-    t.stamp.(way) <- t.clock;
-    true
-  end
+  if not (is_filled t set) then fill_then_access t addr set
   else begin
-    t.misses <- t.misses + 1;
-    let victim = ref base in
-    for i = base + 1 to base + t.assoc - 1 do
-      if t.stamp.(i) < t.stamp.(!victim) then victim := i
+    t.clock <- t.clock + 1;
+    t.accesses <- t.accesses + 1;
+    let tag = Int64.of_int (block lsr t.set_bits) in
+    let ways = t.ways in
+    let first = (set * t.assoc) lsl 4 in
+    let limit = first + (t.assoc lsl 4) in
+    let off = ref first in
+    while !off < limit && get64 ways !off <> tag do
+      off := !off + 16
     done;
-    t.tags.(!victim) <- tag;
-    t.stamp.(!victim) <- t.clock;
-    false
+    if !off < limit then begin
+      set64 ways (!off + 8) (Int64.of_int t.clock);
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let victim = ref first in
+      let o = ref (first + 16) in
+      while !o < limit do
+        if get64 ways (!o + 8) < get64 ways (!victim + 8) then victim := !o;
+        o := !o + 16
+      done;
+      set64 ways !victim tag;
+      set64 ways (!victim + 8) (Int64.of_int t.clock);
+      false
+    end
   end
 
-(** Non-allocating lookup, for tests and introspection. *)
+and[@inline never] fill_then_access t addr set =
+  fill t set;
+  access t addr
+
+(** Non-allocating lookup, for tests and introspection; a set never
+    touched holds nothing. *)
 let probe t addr =
   let block = addr lsr t.block_bits in
   let set = block land (num_sets t - 1) in
-  let tag = block lsr t.set_bits in
-  let base = set * t.assoc in
-  find_way t base tag < base + t.assoc
+  is_filled t set
+  &&
+  let tag = Int64.of_int (block lsr t.set_bits) in
+  let first = (set * t.assoc) lsl 4 in
+  let limit = first + (t.assoc lsl 4) in
+  let off = ref first in
+  while !off < limit && get64 t.ways !off <> tag do
+    off := !off + 16
+  done;
+  !off < limit
+
+(* Slot [i]'s word at byte [k] of the slot, or [empty] while its set is
+   unfilled. *)
+let slot_word t i k ~empty =
+  if i < 0 || i >= num_sets t * t.assoc then invalid_arg "sa_cache: way slot";
+  if is_filled t (i / t.assoc) then Int64.to_int (get64 t.ways ((i lsl 4) + k))
+  else empty
+
+let tag t i = slot_word t i 0 ~empty:(-1)
+let stamp t i = slot_word t i 8 ~empty:0
 
 let reset_stats t =
   t.accesses <- 0;
   t.misses <- 0
 
 let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
+  Bytes.fill t.filled 0 (Bytes.length t.filled) '\000';
   t.clock <- 0
 
 (** Report this cache's counters into a metrics registry, labeled by the

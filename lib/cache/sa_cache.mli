@@ -7,8 +7,10 @@ type t = {
   block_bits : int;
   set_bits : int;
   assoc : int;
-  tags : int array;
-  stamp : int array;
+  ways : Bytes.t;
+  filled : Bytes.t;
+      (** per-way tag and LRU stamp, valid only in sets whose fill byte is
+          set; read them with {!tag} and {!stamp} *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -30,6 +32,14 @@ val access : t -> int -> bool
 
 val probe : t -> int -> bool
 (** Non-allocating residency check (tests/introspection). *)
+
+val tag : t -> int -> int
+(** [tag t i] is way slot [i]'s tag ([i = set * assoc + way]), -1 when
+    invalid; a set never touched since creation or {!flush} reads as all
+    -1.  Raises [Invalid_argument] on a slot out of range. *)
+
+val stamp : t -> int -> int
+(** Way slot [i]'s LRU stamp; 0 in a set never touched. *)
 
 val reset_stats : t -> unit
 val flush : t -> unit

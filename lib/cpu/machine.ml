@@ -134,6 +134,21 @@ let fault m msg = raise (Machine_fault (Printf.sprintf "%s (pc=%d, fn=%s)" msg m
      m.image.fn_of_index.(m.pc)
    else "?")))
 
+external get64 : string -> int -> int64 = "%caml_string_get64"
+
+(* The 64 bytes of [s] from [i] are all zero: eight words OR-ed
+   together, unboxed. *)
+let zero64 s i =
+  Int64.(
+    logor
+      (logor
+         (logor (get64 s i) (get64 s (i + 8)))
+         (logor (get64 s (i + 16)) (get64 s (i + 24))))
+      (logor
+         (logor (get64 s (i + 32)) (get64 s (i + 40)))
+         (logor (get64 s (i + 48)) (get64 s (i + 56))))
+    = 0L)
+
 (** Create a machine for a linked image.  [globals] is the initial byte
     image of the globals region.  In full-safety mode the stack and global
     pointers start life as bounded pointers covering their whole regions —
@@ -143,8 +158,9 @@ let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
   (* Pages are zero-filled on demand: skip zero bytes so that large
      zero-initialized globals (e.g. the object-table node pool, a
      megabyte holding a handful of non-zero bytes) do not touch pages the
-     program never uses.  The image is scanned a 64-bit word at a time;
-     only a non-zero word's bytes are looked at one by one. *)
+     program never uses.  Zero runs are skipped 64 bytes (eight words
+     OR-ed together) at a time; a run holding data is scanned a word at a
+     time, and only a non-zero word's bytes are looked at one by one. *)
   let len = String.length globals in
   let load_byte i =
     let c = String.unsafe_get globals i in
@@ -153,9 +169,13 @@ let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
   in
   let i = ref 0 in
   while !i + 8 <= len do
-    if String.get_int64_ne globals !i <> 0L then
-      for j = !i to !i + 7 do load_byte j done;
-    i := !i + 8
+    if !i land 63 = 0 && !i + 64 <= len && zero64 globals !i then
+      i := !i + 64
+    else begin
+      if get64 globals !i <> 0L then
+        for j = !i to !i + 7 do load_byte j done;
+      i := !i + 8
+    end
   done;
   for j = !i to len - 1 do load_byte j done;
   let tag_bits = Encoding.tag_bits config.scheme in

@@ -1037,7 +1037,8 @@ let compile ~(mode : mode) (p : tprogram) : compiled =
   let funcs =
     start_fn :: List.map (gen_fun ~mode ~globals ~strings ~sizeof) p.tp_funcs
   in
+  (* [image] never escapes: hand it over without copying its megabyte *)
   {
     program = { funcs; entry = "_start" };
-    globals_image = Bytes.to_string image;
+    globals_image = Bytes.unsafe_to_string image;
   }

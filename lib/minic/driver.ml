@@ -2,13 +2,25 @@
 
 exception Compile_error of string
 
-let compile_source ~(mode : Codegen.mode) (source : string) : Codegen.compiled =
+(* A unit line as its author knows it: the first [line_base] lines are a
+   prelude (the runtime's, rendered [rt.N] as attribution does), and the
+   source proper counts from 1 after them. *)
+let line_name ~line_base line =
+  if line > line_base then string_of_int (line - line_base)
+  else Printf.sprintf "rt.%d" line
+
+let compile_source ~line_base ~(mode : Codegen.mode) (source : string) :
+    Codegen.compiled =
+  let located what line msg =
+    raise
+      (Compile_error
+         (Printf.sprintf "%s error at line %s: %s" what
+            (line_name ~line_base line) msg))
+  in
   let tunit =
     try Parser.parse_tunit source with
-    | Parser.Parse_error (line, msg) ->
-      raise (Compile_error (Printf.sprintf "parse error at line %d: %s" line msg))
-    | Lexer.Lex_error (line, msg) ->
-      raise (Compile_error (Printf.sprintf "lex error at line %d: %s" line msg))
+    | Parser.Parse_error (line, msg) -> located "parse" line msg
+    | Lexer.Lex_error (line, msg) -> located "lex" line msg
   in
   let typed =
     try Typecheck.check_tunit tunit
@@ -20,8 +32,8 @@ let compile_source ~(mode : Codegen.mode) (source : string) : Codegen.compiled =
     raise (Compile_error ("codegen error: " ^ msg))
 
 (** Compile and link to an executable image. *)
-let build ~mode source =
-  let compiled = compile_source ~mode source in
+let build ~line_base ~mode source =
+  let compiled = compile_source ~line_base ~mode source in
   (match Hb_isa.Program.validate compiled.Codegen.program with
    | Ok () -> ()
    | Error e -> raise (Compile_error ("invalid generated code: " ^ e)));

@@ -3,9 +3,13 @@
 exception Compile_error of string
 (** Lex, parse, type and codegen errors, uniformly reported. *)
 
-val compile_source : mode:Codegen.mode -> string -> Codegen.compiled
-(** Parse, typecheck and generate code for one translation unit. *)
+val compile_source :
+  line_base:int -> mode:Codegen.mode -> string -> Codegen.compiled
+(** Parse, typecheck and generate code for one translation unit.  Its
+    first [line_base] lines are a prelude: error messages number the
+    lines after it from 1 and name a prelude line [rt.N]. *)
 
-val build : mode:Codegen.mode -> string -> Hb_isa.Program.image * string
+val build :
+  line_base:int -> mode:Codegen.mode -> string -> Hb_isa.Program.image * string
 (** {!compile_source}, then validate and link.  Returns the executable
     image and the initial globals byte image. *)

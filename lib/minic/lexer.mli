@@ -10,9 +10,10 @@ type token =
   | EOF
 
 exception Lex_error of int * string
-(** Line number (1-based) and message. *)
-
-val keywords : string list
+(** Line number (1-based) and message.  Besides unexpected characters and
+    unterminated comments, literals and escapes, a number literal that
+    does not read as an [int] or [float] ([0x], [1.5e], an integer past
+    [max_int]) is a lex error. *)
 
 type t
 

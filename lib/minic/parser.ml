@@ -90,6 +90,30 @@ let parse_abstract_ty p =
 
 (* ---- expressions ------------------------------------------------------ *)
 
+(* Binary operator [s] at precedence level [level] (0 lowest, 9
+   highest), if it is one there. *)
+let binop level s =
+  match (level, s) with
+  | 0, "||" -> Some Lor
+  | 1, "&&" -> Some Land
+  | 2, "|" -> Some Bor
+  | 3, "^" -> Some Bxor
+  | 4, "&" -> Some Band
+  | 5, "==" -> Some Eq
+  | 5, "!=" -> Some Ne
+  | 6, "<" -> Some Lt
+  | 6, "<=" -> Some Le
+  | 6, ">" -> Some Gt
+  | 6, ">=" -> Some Ge
+  | 7, "<<" -> Some Shl
+  | 7, ">>" -> Some Shr
+  | 8, "+" -> Some Add
+  | 8, "-" -> Some Sub
+  | 9, "*" -> Some Mul
+  | 9, "/" -> Some Div
+  | 9, "%" -> Some Mod
+  | _ -> None
+
 let rec parse_expr p = parse_assign p
 
 and parse_assign p =
@@ -123,36 +147,20 @@ and parse_cond p =
   end
   else c
 
-(* binary operators by precedence level, low to high *)
-and binop_levels =
-  [|
-    [ ("||", Lor) ];
-    [ ("&&", Land) ];
-    [ ("|", Bor) ];
-    [ ("^", Bxor) ];
-    [ ("&", Band) ];
-    [ ("==", Eq); ("!=", Ne) ];
-    [ ("<", Lt); ("<=", Le); (">", Gt); (">=", Ge) ];
-    [ ("<<", Shl); (">>", Shr) ];
-    [ ("+", Add); ("-", Sub) ];
-    [ ("*", Mul); ("/", Div); ("%", Mod) ];
-  |]
-
 and parse_binary p level =
-  if level >= Array.length binop_levels then parse_unary p
+  if level > 9 then parse_unary p
   else begin
-    let ops = binop_levels.(level) in
-    let lhs = ref (parse_binary p (level + 1)) in
-    let continue = ref true in
-    while !continue do
+    let rec more lhs =
       match peek p with
-      | Lexer.PUNCT s when List.mem_assoc s ops ->
-        junk p;
-        let rhs = parse_binary p (level + 1) in
-        lhs := Ebinop (List.assoc s ops, !lhs, rhs)
-      | _ -> continue := false
-    done;
-    !lhs
+      | Lexer.PUNCT s -> (
+        match binop level s with
+        | Some op ->
+          junk p;
+          more (Ebinop (op, lhs, parse_binary p (level + 1)))
+        | None -> lhs)
+      | _ -> lhs
+    in
+    more (parse_binary p (level + 1))
   end
 
 and parse_unary p =

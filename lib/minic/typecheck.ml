@@ -571,24 +571,18 @@ let check_global env (g : global) : tglobal =
                Assign (Lglob (g.gname, 0, gty), convert env gty (check_expr env e));
              ty = gty })
       | t -> err "scalar initializer for %s of type %s" g.gname (ty_str t))
-    | Some (Init_list es) -> (
-      match gty with
-      | Tarray (Tint, _) ->
-        (Some (String.concat "" (List.map (fun e -> le32 (const_int env e)) es)),
-         None)
-      | Tarray (Tfloat, _) ->
-        (Some
-           (String.concat ""
-              (List.map (fun e -> le32 (float_bits (const_float env e))) es)),
-         None)
-      | Tarray (Tchar, _) ->
-        (Some
-           (String.concat ""
-              (List.map
-                 (fun e -> String.make 1 (Char.chr (const_int env e land 0xFF)))
-                 es)),
-         None)
-      | t -> err "list initializer for %s of type %s" g.gname (ty_str t))
+    | Some (Init_list es) ->
+      let elem, n =
+        match gty with
+        | Tarray (Tint, n) -> ((fun e -> le32 (const_int env e)), n)
+        | Tarray (Tfloat, n) ->
+          ((fun e -> le32 (float_bits (const_float env e))), n)
+        | Tarray (Tchar, n) ->
+          ((fun e -> String.make 1 (Char.chr (const_int env e land 0xFF))), n)
+        | t -> err "list initializer for %s of type %s" g.gname (ty_str t)
+      in
+      if List.length es > n then err "initializer too long for %s" g.gname;
+      (Some (String.concat "" (List.map elem es)), None)
   in
   { tg_name = g.gname; tg_ty = gty; tg_size = size; tg_bytes = bytes;
     tg_startup = startup }

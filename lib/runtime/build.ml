@@ -6,10 +6,6 @@ module Driver = Hb_minic.Driver
 module Machine = Hb_cpu.Machine
 module Encoding = Hardbound.Encoding
 
-(** Compile runtime + user source (one translation unit). *)
-let compile ~(mode : Codegen.mode) (user_source : string) =
-  Driver.build ~mode (Runtime_src.source ^ "\n" ^ user_source)
-
 (** Number of translation-unit lines occupied by the runtime prelude:
     user-source line L sits at unit line [runtime_lines + L].  Pass as
     [line_base] to [Machine.enable_attr] so attribution reports show the
@@ -17,6 +13,12 @@ let compile ~(mode : Codegen.mode) (user_source : string) =
 let runtime_lines =
   String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1
     Runtime_src.source
+
+(** Compile runtime + user source (one translation unit); errors name
+    the user's own lines. *)
+let compile ~(mode : Codegen.mode) (user_source : string) =
+  Driver.build ~line_base:runtime_lines ~mode
+    (Runtime_src.source ^ "\n" ^ user_source)
 
 let default_fuel = 400_000_000
 

@@ -4,7 +4,8 @@
 val compile :
   mode:Hb_minic.Codegen.mode -> string -> Hb_isa.Program.image * string
 (** Compile runtime + user source as one translation unit; returns the
-    linked image and the globals byte image. *)
+    linked image and the globals byte image.  A lex or parse error names
+    the user's line (a runtime line as [rt.N]). *)
 
 val runtime_lines : int
 (** Translation-unit lines occupied by the runtime prelude: user-source

@@ -53,6 +53,32 @@ let test_cache_flush_reset () =
   Sa_cache.flush c;
   Alcotest.(check bool) "flushed" false (Sa_cache.probe c 0x1000)
 
+(* A set never touched since creation or a flush reads as invalid ways
+   with zero stamps, as an eagerly initialised cache would. *)
+let test_cache_unfilled_sets () =
+  let c = Sa_cache.create ~name:"t" ~size_bytes:1024 ~assoc:2 ~block_bytes:32 in
+  let slots = Sa_cache.num_sets c * 2 in
+  let all_empty what =
+    for i = 0 to slots - 1 do
+      Alcotest.(check int) (Printf.sprintf "%s tag %d" what i) (-1)
+        (Sa_cache.tag c i);
+      Alcotest.(check int) (Printf.sprintf "%s stamp %d" what i) 0
+        (Sa_cache.stamp c i)
+    done
+  in
+  all_empty "fresh";
+  Alcotest.(check bool) "fresh probe" false (Sa_cache.probe c 0x1000);
+  ignore (Sa_cache.access c 0x1000);
+  (* 0x1000 is block 128: set 0, tag 8, in the set's first way *)
+  Alcotest.(check int) "installed tag" 8 (Sa_cache.tag c 0);
+  Alcotest.(check int) "installed stamp" 1 (Sa_cache.stamp c 0);
+  Alcotest.(check int) "other way" (-1) (Sa_cache.tag c 1);
+  Sa_cache.flush c;
+  all_empty "flushed";
+  match Sa_cache.tag c slots with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "slot past the last set"
+
 let test_tlb () =
   let t = Tlb.create ~name:"t" ~entries:4 ~assoc:2 ~page_bytes:4096 in
   Alcotest.(check bool) "cold" false (Tlb.access t 0x100000);
@@ -174,6 +200,16 @@ module Ref_cache = struct
     t.clock <- 0
 end
 
+(* Every way slot of [c] reads as the reference's: tag and LRU stamp. *)
+let same_ways c (r : Ref_cache.t) =
+  let ok = ref true in
+  Array.iteri
+    (fun i tag ->
+      if Sa_cache.tag c i <> tag || Sa_cache.stamp c i <> r.stamp.(i) then
+        ok := false)
+    r.tags;
+  !ok
+
 type cache_op = Access of int | Probe of int | Flush | Reset_stats
 
 let show_op = function
@@ -233,10 +269,9 @@ let prop_cache_matches_reference (size_bytes, assoc, block_bytes) =
               misses := 0;
               true
           in
-          (* identical tag and stamp arrays: the same victims, ties
-             included *)
-          same_result && c.Sa_cache.tags = r.Ref_cache.tags
-          && c.Sa_cache.stamp = r.Ref_cache.stamp
+          (* identical tags and stamps in every way, sets never touched
+             included: the same victims, ties included *)
+          same_result && same_ways c r
           && c.Sa_cache.clock = r.Ref_cache.clock
           && c.Sa_cache.misses = !misses)
         ops)
@@ -261,8 +296,7 @@ let prop_tlb_matches_reference =
            | Reset_stats ->
              Tlb.reset_stats t;
              true)
-          && t.Tlb.cache.Sa_cache.tags = r.Ref_cache.tags
-          && t.Tlb.cache.Sa_cache.stamp = r.Ref_cache.stamp)
+          && same_ways t.Tlb.cache r)
         ops)
 
 (* property: stalls are always one of the composable penalty sums *)
@@ -285,6 +319,7 @@ let () =
           tc "conflict thrash" test_cache_conflict_vs_capacity;
           tc "validation" test_cache_validation;
           tc "flush/reset" test_cache_flush_reset;
+          tc "unfilled sets" test_cache_unfilled_sets;
         ]
         @ List.map
             (fun g ->

@@ -310,12 +310,17 @@ let test_null_fault () =
   let st, _ = run ~config:Machine.baseline_config body in
   check_status "null deref" `Fault st
 
-(* The loader skips the globals image's zero bytes a 64-bit word at a
-   time: every non-zero byte lands, wherever it sits in its word or in the
-   ragged tail, and only pages holding one are materialized. *)
+(* The loader skips the globals image's zero bytes 64 bytes, then a
+   64-bit word, at a time: every non-zero byte lands, wherever it sits in
+   its word, in its 64-byte run or in the ragged tail, and only pages
+   holding one are materialized. *)
 let test_loader_skips_zeros () =
   let len = (5 * Layout.page_size) + 13 in
-  let nonzero = [ 0; 7; 8; 4099; (3 * Layout.page_size) + 5; len - 1 ] in
+  let nonzero =
+    [ 0; 7; 8; 4099; (3 * Layout.page_size) + 5; len - 1 ]
+    (* eight 64-byte runs, each with one byte, in its run's j-th word *)
+    @ List.init 8 (fun j -> Layout.page_size + (64 * (j + 1)) + (9 * j))
+  in
   let globals =
     String.init len (fun i ->
         if List.mem i nonzero then Char.chr (1 + (i mod 255)) else '\000')

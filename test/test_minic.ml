@@ -5,6 +5,10 @@
 
 module Build = Hb_runtime.Build
 module Codegen = Hb_minic.Codegen
+module Lexer = Hb_minic.Lexer
+module Driver = Hb_minic.Driver
+module Gen = Hb_violations.Gen
+module Workloads = Hb_workloads.Workloads
 module Machine = Hb_cpu.Machine
 module Encoding = Hardbound.Encoding
 
@@ -441,19 +445,240 @@ int main() {
   in
   check_output "unsafe builtin" ~expect:"ok" ~mode:Codegen.Hardbound src
 
-(* compile errors are reported, not crashes *)
+(* compile errors are reported, not crashes, and name the user's line *)
 let test_compile_errors () =
-  let expect_error src =
+  let expect_error ?msg src =
     match Build.compile ~mode:Codegen.Nochecks src with
-    | exception Hb_minic.Driver.Compile_error _ -> ()
-    | _ -> Alcotest.fail "expected compile error"
+    | exception Driver.Compile_error m ->
+      Option.iter (fun msg -> Alcotest.(check string) src msg m) msg
+    | _ -> Alcotest.failf "expected compile error: %s" src
   in
   expect_error "int main() { undeclared = 1; return 0; }";
   expect_error "int main() { int x; x = \"str\" * 2; return 0; }";
   expect_error "int main() { return; }";
   expect_error "int f(; int main() { return 0; }";
   expect_error "struct s { int x; }; int main() { struct s v; v = v; return 0; }";
-  expect_error "int main() { int a[4]; a[0] = missing(); return 0; }"
+  expect_error "int main() { int a[4]; a[0] = missing(); return 0; }";
+  (* number literals int_of_string / float_of_string reject *)
+  expect_error "int main() { return 0x; }"
+    ~msg:"lex error at line 1: malformed number literal 0x";
+  expect_error "int main() {\n  return 99999999999999999999999;\n}"
+    ~msg:
+      "lex error at line 2: number literal 99999999999999999999999 out of \
+       range";
+  expect_error "int main() { float f = 1.5e; return 0; }"
+    ~msg:"lex error at line 1: malformed number literal 1.5e";
+  (* initializer lists longer than their array *)
+  expect_error "int g[2] = {1, 2, 3}; int main() { return g[0]; }"
+    ~msg:"type error: initializer too long for g";
+  expect_error "float h[1] = {1.0, 2.0}; int main() { return 0; }"
+    ~msg:"type error: initializer too long for h";
+  expect_error "char c[4] = {1, 2, 3, 4, 5}; int x; int main() { return x; }"
+    ~msg:"type error: initializer too long for c";
+  (* lines count from the user's first line, not the unit's *)
+  expect_error "int main() {\n  int x;\n  x = 1 @ 2;\n  return x;\n}"
+    ~msg:"lex error at line 3: unexpected character '@'";
+  expect_error "int main() {\n  return 1 +;\n}"
+    ~msg:"parse error at line 2: unexpected token ';'";
+  (* a prelude line is named rt.N *)
+  match Driver.build ~line_base:2 ~mode:Codegen.Nochecks "int a;\nint @;\n" with
+  | exception Driver.Compile_error m ->
+    Alcotest.(check string) "prelude line"
+      "lex error at line rt.2: unexpected character '@'" m
+  | _ -> Alcotest.fail "expected compile error in the prelude"
+
+(* ---- front end ----------------------------------------------------------- *)
+
+(* The tokens of [src], one entry per line that starts a token ("L: ..."
+   with each token tagged by kind), then the lex error that stopped it. *)
+let lex_all src =
+  let render = function
+    | Lexer.INT_LIT n -> Printf.sprintf "INT:%d" n
+    | Lexer.FLOAT_LIT f -> Printf.sprintf "FLOAT:%h" f
+    | Lexer.STR_LIT s -> Printf.sprintf "STR:%S" s
+    | Lexer.IDENT s -> "ID:" ^ s
+    | Lexer.KW s -> "KW:" ^ s
+    | Lexer.PUNCT s -> "P:" ^ s
+    | Lexer.EOF -> "EOF"
+  in
+  let lines = ref [] in
+  let add line s =
+    match !lines with
+    | (l, toks) :: rest when l = line -> lines := (l, s :: toks) :: rest
+    | _ -> lines := (line, [ s ]) :: !lines
+  in
+  let error =
+    match Lexer.create src with
+    | exception Lexer.Lex_error (line, msg) -> Some (line, msg)
+    | lx ->
+      let rec go () =
+        let t = Lexer.token lx in
+        add (Lexer.token_line lx) (render t);
+        if t = Lexer.EOF then None
+        else
+          match Lexer.junk lx with
+          | () -> go ()
+          | exception Lexer.Lex_error (line, msg) -> Some (line, msg)
+      in
+      go ()
+  in
+  List.rev_map
+    (fun (l, toks) ->
+      Printf.sprintf "%d: %s" l (String.concat " " (List.rev toks)))
+    !lines
+  @
+  match error with
+  | Some (line, msg) -> [ Printf.sprintf "%d: error: %s" line msg ]
+  | None -> []
+
+(* Recorded with the lexer that looked punctuators and keywords up in
+   lists: every punctuator, keywords beside identifiers sharing a prefix,
+   literals, escapes, comments across lines, and each lex error. *)
+let lexer_table =
+  [
+    ( "punctuators",
+      "<<= >>=\n\
+        == != <= >= && || << >> ++ --\n\
+        += -= *= /= %= &= |= ^= ->\n\
+        + - * / % = < > ! ~ & | ^\n\
+        ( ) { } [ ] ; , . ? :",
+      [ "1: P:<<= P:>>=";
+        "2: P:== P:!= P:<= P:>= P:&& P:|| P:<< P:>> P:++ P:--";
+        "3: P:+= P:-= P:*= P:/= P:%= P:&= P:|= P:^= P:->";
+        "4: P:+ P:- P:* P:/ P:% P:= P:< P:> P:! P:~ P:& P:| P:^";
+        "5: P:( P:) P:{ P:} P:[ P:] P:; P:, P:. P:? P:: EOF" ] );
+    ( "longest match",
+      "a<<=b>>=c a-->b p->q a+++b\n\
+        x<<<y x>>>=y a&&&b a|||b\n\
+        a!==b a===b -=-",
+      [ "1: ID:a P:<<= ID:b P:>>= ID:c ID:a P:-- P:> ID:b ID:p P:-> ID:q ID:a P:++ P:+ ID:b";
+        "2: ID:x P:<< P:< ID:y ID:x P:>> P:>= ID:y ID:a P:&& P:& ID:b ID:a P:|| P:| ID:b";
+        "3: ID:a P:!= P:= ID:b ID:a P:== P:= ID:b P:-= P:- EOF" ] );
+    ( "keywords beside identifiers",
+      "do double int integer if iff for fort\n\
+        while whilex char chars float floaty\n\
+        void voids struct structure sizeof sizeofx\n\
+        return returns break breaker continue continued\n\
+        else elsewhere _x x1 X_9 Int INT",
+      [ "1: KW:do ID:double KW:int ID:integer KW:if ID:iff KW:for ID:fort";
+        "2: KW:while ID:whilex KW:char ID:chars KW:float ID:floaty";
+        "3: KW:void ID:voids KW:struct ID:structure KW:sizeof ID:sizeofx";
+        "4: KW:return ID:returns KW:break ID:breaker KW:continue ID:continued";
+        "5: KW:else ID:elsewhere ID:_x ID:x1 ID:X_9 ID:Int ID:INT EOF" ] );
+    ( "number literals",
+      "0 7 42 0123 0x1F 0XfF 0xdeadBEEF\n\
+        0x7FFFFFFFFFFFFFFF 4611686018427387903\n\
+        1.5 0.25 3.25e2 1.0E-3 2.5e+1 1.0e400\n\
+        12abc 1. 3.x 0x1Fg 7.e1",
+      [ "1: INT:0 INT:7 INT:42 INT:123 INT:31 INT:255 INT:3735928559";
+        "2: INT:-1 INT:4611686018427387903";
+        "3: FLOAT:0x1.8p+0 FLOAT:0x1p-2 FLOAT:0x1.45p+8 FLOAT:0x1.0624dd2f1a9fcp-10 FLOAT:0x1.9p+4 FLOAT:infinity";
+        "4: INT:12 ID:abc INT:1 P:. INT:3 P:. ID:x INT:31 ID:g INT:7 P:. ID:e1 EOF" ] );
+    ( "char and string escapes",
+      "'a' '\\n' '\\t' '\\r' '\\0' '\\\\' '\\'' '\"' ' '\n\
+        \"a\\nb\\t\\\"q\\\"\\\\\\0z\" \"\" \"it's\" \"x\\ry\"",
+      [ "1: INT:97 INT:10 INT:9 INT:13 INT:0 INT:92 INT:39 INT:34 INT:32";
+        "2: STR:\"a\\nb\\t\\\"q\\\"\\\\\\000z\" STR:\"\" STR:\"it's\" STR:\"x\\ry\" EOF" ] );
+    ( "comments across lines",
+      "a // line comment * / \"\n\
+        b /* block\n\
+        comment */ c\n\
+        /* x */d /**/ e /* * / ** */ f\n\
+        g/h i/=j // last line without newline",
+      [ "1: ID:a";
+        "2: ID:b";
+        "3: ID:c";
+        "4: ID:d ID:e ID:f";
+        "5: ID:g P:/ ID:h ID:i P:/= ID:j EOF" ] );
+    ( "line counting in literals",
+      "\"one\ntwo\" x\n'\n' y",
+      [ "1: STR:\"one\\ntwo\"";
+        "2: ID:x";
+        "3: INT:10";
+        "4: ID:y EOF" ] );
+    ( "unterminated comment",
+      "x /* never\nclosed\n",
+      [ "1: ID:x";
+        "3: error: unterminated comment" ] );
+    ( "unknown escape",
+      "a\n'\\q'",
+      [ "1: ID:a";
+        "2: error: unknown escape \\q" ] );
+    ( "unknown escape in string",
+      "\n\n\"ab\\zc\"",
+      [ "3: error: unknown escape \\z" ] );
+    ( "unterminated char",
+      "'",
+      [ "1: error: unterminated char" ] );
+    ( "unterminated char after backslash",
+      "\n'\\",
+      [ "2: error: unterminated char" ] );
+    ( "expected closing quote",
+      "'ab'",
+      [ "1: error: expected closing quote" ] );
+    ( "unterminated string",
+      "\"abc\n\n",
+      [ "3: error: unterminated string" ] );
+    ( "unterminated string after backslash",
+      "\"abc\\",
+      [ "1: error: unterminated string" ] );
+    ( "unexpected character",
+      "\n\n  x @ y",
+      [ "3: ID:x";
+        "3: error: unexpected character '@'" ] );
+    ( "unexpected hash",
+      "#include",
+      [ "1: error: unexpected character '#'" ] );
+    ( "unexpected nul",
+      "a\000b",
+      [ "1: ID:a";
+        "1: error: unexpected character '\\000'" ] );
+  ]
+
+let test_lexer_table () =
+  List.iter
+    (fun (name, src, expect) ->
+      Alcotest.(check (list string)) name expect (lex_all src))
+    lexer_table;
+  (* number literals [int_of_string] or [float_of_string] reject *)
+  List.iter
+    (fun (src, expect) -> Alcotest.(check (list string)) src expect (lex_all src))
+    [
+      ("a\n0x;", [ "1: ID:a"; "2: error: malformed number literal 0x" ]);
+      ("0X", [ "1: error: malformed number literal 0X" ]);
+      ( "4611686018427387904",
+        [ "1: error: number literal 4611686018427387904 out of range" ] );
+      ( "0x1FFFFFFFFFFFFFFFF",
+        [ "1: error: number literal 0x1FFFFFFFFFFFFFFFF out of range" ] );
+      ("1.5e", [ "1: error: malformed number literal 1.5e" ]);
+      ("\n\n2.0E+;", [ "3: error: malformed number literal 2.0E+" ]);
+    ]
+
+(* One MD5 over every violation-corpus program (HardBound) and every
+   Olden program (all five modes) as [Build.compile] returns it: the linked
+   image with its fn and line maps, and the globals bytes, marshalled
+   without sharing.  Recorded before the front end was reworked for
+   speed; any change to generated code or data moves it. *)
+let test_compiler_output_pin () =
+  let digest ~mode src =
+    let image, globals = Build.compile ~mode src in
+    Digest.string (Marshal.to_string (image, globals) [ Marshal.No_sharing ])
+  in
+  let corpus =
+    List.concat_map
+      (fun (c : Gen.case) ->
+        [ digest ~mode:Codegen.Hardbound c.good;
+          digest ~mode:Codegen.Hardbound c.bad ])
+      (Gen.all_cases ())
+  in
+  let olden =
+    List.concat_map
+      (fun (w : Workloads.t) -> List.map (fun mode -> digest ~mode w.source) modes)
+      Workloads.all
+  in
+  Alcotest.(check int) "units" 917 (List.length corpus + List.length olden);
+  Alcotest.(check string) "compiler output" "546edf3b2b473d1b5e8250cf89784dad"
+    (Digest.to_hex (Digest.string (String.concat "" (corpus @ olden))))
 
 (* encodings do not change program results, only performance *)
 let test_encoding_transparency () =
@@ -516,5 +741,11 @@ let () =
           tc "unsafe escape hatch" test_unsafe_builtin;
           tc "compile errors" test_compile_errors;
           tc "encoding transparency" test_encoding_transparency;
+        ] );
+      ( "front end",
+        [
+          tc "lexer table" test_lexer_table;
+          Alcotest.test_case "compiler output pin" `Slow
+            test_compiler_output_pin;
         ] );
     ]
