@@ -58,73 +58,8 @@ let intern11_fits ~value ~base ~bound =
 
 let extern4_uncompressed_tag = 15
 
-(** Result of encoding a register's {value, metadata} for a memory store. *)
-type encoded =
-  | Enc_non_pointer of int
-      (** stored word (= value); tag 0. *)
-  | Enc_inline of { word : int; tag : int; aux : int }
-      (** compressed: no shadow-space write needed.  [aux] models stolen
-          upper word bits for Intern11 (0 otherwise). *)
-  | Enc_shadow of { word : int; tag : int }
-      (** tag marks a non-compressed pointer; base and bound must also be
-          written to the shadow space. *)
-
-let encode scheme ~value (m : Meta.t) : encoded =
-  if not (Meta.is_pointer m) then Enc_non_pointer value
-  else
-    match scheme with
-    | Uncompressed -> Enc_shadow { word = value; tag = 1 }
-    | Extern4 ->
-      let c = size_code ~value ~base:m.base ~bound:m.bound in
-      if c <> 0 then Enc_inline { word = value; tag = c; aux = 0 }
-      else Enc_shadow { word = value; tag = extern4_uncompressed_tag }
-    | Intern4 ->
-      if value >= 0x80000000 then
-        (* The flag bit doubles as the shadow-space address bit; data
-           pointers into that region cannot exist (Section 4.3). *)
-        Hb_error.fail ~component:"encoding" ~addr:value
-          "intern-4: pointer into shadow half of address space";
-      let c = size_code ~value ~base:m.base ~bound:m.bound in
-      if c <> 0 && value < Hb_mem.Layout.internal_region_limit then
-        Enc_inline
-          { word = 0x80000000 lor (c lsl 27) lor value; tag = 1; aux = 0 }
-      else Enc_shadow { word = value; tag = 1 }
-    | Intern11 ->
-      if intern11_fits ~value ~base:m.base ~bound:m.bound then
-        Enc_inline { word = value; tag = 1; aux = Meta.size m / 4 }
-      else Enc_shadow { word = value; tag = 1 }
-
-(** Result of decoding a loaded word given its tag (and side bits). *)
-type decoded =
-  | Dec_non_pointer of int
-  | Dec_inline of int * Meta.t  (** reconstructed value and metadata *)
-  | Dec_shadow of int           (** value; base/bound must be loaded *)
-
-let decode scheme ~word ~tag ~aux : decoded =
-  match scheme with
-  | Uncompressed ->
-    if tag = 0 then Dec_non_pointer word else Dec_shadow word
-  | Extern4 ->
-    if tag = 0 then Dec_non_pointer word
-    else if tag = extern4_uncompressed_tag then Dec_shadow word
-    else Dec_inline (word, Meta.make ~base:word ~size:(4 * tag))
-  | Intern4 ->
-    if tag = 0 then Dec_non_pointer word
-    else if word land 0x80000000 <> 0 then
-      let c = (word lsr 27) land 0xF in
-      let value = word land 0x07FFFFFF in
-      Dec_inline (value, Meta.make ~base:value ~size:(4 * c))
-    else Dec_shadow word
-  | Intern11 ->
-    if tag = 0 then Dec_non_pointer word
-    else if aux <> 0 then Dec_inline (word, Meta.make ~base:word ~size:(4 * aux))
-    else Dec_shadow word
-
-(** Where a register's metadata would live if stored — the total,
-    never-raising shape of {!encode} used by the timeline's
-    encoding-transition telemetry.  Unlike [encode], a pointer into the
-    shadow half of the address space under Intern4 classifies as [Wide]
-    instead of raising: the classifier only observes, it never stores. *)
+(** Where a register's metadata would live if stored: compressed inline
+    ([Narrow]) or in the base/bound shadow space ([Wide]). *)
 type kind = Non_pointer | Narrow | Wide
 
 let kind_name = function
@@ -132,8 +67,15 @@ let kind_name = function
   | Narrow -> "narrow"
   | Wide -> "wide"
 
+(** Which pointers compress: the one definition {!pack} and {!encode}
+    store by.  Total: a pointer into the shadow half of the address space
+    under Intern4 classifies as [Wide], although {!pack} refuses to store
+    it. *)
 let classify scheme ~value ~base ~bound : kind =
-  if not (Meta.bounded ~base ~bound) then Non_pointer
+  (* [Meta.bounded], spelled out: dune's dev profile compiles every unit
+     with -opaque, so the call could not be inlined (test_core checks the
+     two agree) *)
+  if base = 0 && bound = 0 then Non_pointer
   else
     match scheme with
     | Uncompressed -> Wide
@@ -146,12 +88,124 @@ let classify scheme ~value ~base ~bound : kind =
       else Wide
     | Intern11 -> if intern11_fits ~value ~base ~bound then Narrow else Wide
 
+(* ---- The bit format ----------------------------------------------------
+
+   Written once, as two allocation-free functions over a caller-owned
+   record: the machine's word loads and stores fill one record per
+   machine, and {!encode} / {!decode} wrap the same functions in a fresh
+   one. *)
+
+(** One memory word's two sides: the stored [word], [tag] and [aux] side
+    bits, and the register image [value], [base], [bound]. *)
+type fields = {
+  mutable word : int;
+  mutable tag : int;
+  mutable aux : int;
+  mutable value : int;
+  mutable base : int;
+  mutable bound : int;
+}
+
+let fields () = { word = 0; tag = 0; aux = 0; value = 0; base = 0; bound = 0 }
+
+(** Store side: set [f.word], [f.tag] and [f.aux] for the register
+    [{value; base; bound}] and return its kind.  Raises
+    {!Hb_error.Hb_error} for an Intern4 pointer into the shadow half of
+    the address space: its flag bit would read back as "compressed". *)
+let pack scheme ~value ~base ~bound f =
+  let kind = classify scheme ~value ~base ~bound in
+  f.word <- value;
+  f.aux <- 0;
+  (match kind with
+   | Non_pointer -> f.tag <- 0
+   | Wide -> (
+     match scheme with
+     | Extern4 -> f.tag <- extern4_uncompressed_tag
+     | Intern4 ->
+       if value >= 0x80000000 then
+         (* The flag bit doubles as the shadow-space address bit; data
+            pointers into that region cannot exist (Section 4.3). *)
+         Hb_error.fail ~component:"encoding" ~addr:value
+           "intern-4: pointer into shadow half of address space";
+       f.tag <- 1
+     | Uncompressed | Intern11 -> f.tag <- 1)
+   | Narrow -> (
+     match scheme with
+     | Extern4 -> f.tag <- size_code ~value ~base ~bound
+     | Intern4 ->
+       (* bit 31 flags the inline form, bits 30..27 hold the size code *)
+       f.word <- 0x80000000 lor (size_code ~value ~base ~bound lsl 27) lor value;
+       f.tag <- 1
+     | Intern11 ->
+       f.tag <- 1;
+       f.aux <- (bound - base) / 4
+     | Uncompressed -> assert false (* never narrow *)));
+  kind
+
+(* An inline pointer's register image: [ptr = base] in every scheme. *)
+let narrow f value size =
+  f.value <- value;
+  f.base <- value;
+  f.bound <- value + size;
+  Narrow
+
+(** Load side: set [f.value] for the memory word [word] with its [tag]
+    and side bits [aux] and return its kind; a [Narrow] word also sets
+    [f.base] and [f.bound] (a [Wide] one's live in the shadow space).
+    Total over every word, including those only a fault injection makes
+    (say Intern4's flag with size code 0, which decodes to empty
+    bounds). *)
+let unpack scheme ~word ~tag ~aux f =
+  f.value <- word;
+  if tag = 0 then Non_pointer
+  else
+    match scheme with
+    | Uncompressed -> Wide
+    | Extern4 ->
+      if tag = extern4_uncompressed_tag then Wide else narrow f word (4 * tag)
+    | Intern4 ->
+      if word land 0x80000000 <> 0 then
+        narrow f (word land 0x07FFFFFF) (4 * ((word lsr 27) land 0xF))
+      else Wide
+    | Intern11 -> if aux <> 0 then narrow f word (4 * aux) else Wide
+
+(* ---- The variant API ---------------------------------------------------- *)
+
+(** Result of encoding a register's {value, metadata} for a memory store. *)
+type encoded =
+  | Enc_non_pointer of int
+      (** stored word (= value); tag 0. *)
+  | Enc_inline of { word : int; tag : int; aux : int }
+      (** compressed: no shadow-space write needed.  [aux] models stolen
+          upper word bits for Intern11 (0 otherwise). *)
+  | Enc_shadow of { word : int; tag : int }
+      (** tag marks a non-compressed pointer; base and bound must also be
+          written to the shadow space. *)
+
+let encode scheme ~value (m : Meta.t) : encoded =
+  let f = fields () in
+  match pack scheme ~value ~base:m.base ~bound:m.bound f with
+  | Non_pointer -> Enc_non_pointer f.word
+  | Narrow -> Enc_inline { word = f.word; tag = f.tag; aux = f.aux }
+  | Wide -> Enc_shadow { word = f.word; tag = f.tag }
+
+(** Result of decoding a loaded word given its tag (and side bits). *)
+type decoded =
+  | Dec_non_pointer of int
+  | Dec_inline of int * Meta.t  (** reconstructed value and metadata *)
+  | Dec_shadow of int           (** value; base/bound must be loaded *)
+
+let decode scheme ~word ~tag ~aux : decoded =
+  let f = fields () in
+  match unpack scheme ~word ~tag ~aux f with
+  | Non_pointer -> Dec_non_pointer f.value
+  | Narrow -> Dec_inline (f.value, { Meta.base = f.base; bound = f.bound })
+  | Wide -> Dec_shadow f.value
+
 (** True if storing this register would need a shadow-space access (and the
-    extra metadata micro-op of Section 5.4). *)
+    extra metadata micro-op of Section 5.4).  Total, like {!classify}. *)
 let needs_shadow scheme ~value ~base ~bound =
-  match encode scheme ~value { Meta.base; bound } with
-  | Enc_shadow _ -> true
-  | Enc_non_pointer _ | Enc_inline _ -> false
+  classify scheme ~value ~base ~bound = Wide
 
 (** Round-trip check used by tests: decode (encode x) = x for compressible
     and shadow pointers alike. *)

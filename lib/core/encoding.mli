@@ -29,6 +29,53 @@ val tag_bits : scheme -> int
 val extern4_uncompressed_tag : int
 (** The tag value (15) marking a non-compressed pointer under Extern4. *)
 
+(** Where a register's metadata would live if stored: compressed inline
+    ([Narrow]) or in the base/bound shadow space ([Wide]). *)
+type kind = Non_pointer | Narrow | Wide
+
+val kind_name : kind -> string
+
+val classify : scheme -> value:int -> base:int -> bound:int -> kind
+(** Which pointers compress, for a value with bounds [\[base, bound)]
+    given as plain ints: the one definition {!pack} and {!encode} store
+    by.  Total (never raising): even addresses [pack] rejects (Intern4
+    shadow-half pointers) classify as [Wide].  Also drives the timeline's
+    encoding-transition counters. *)
+
+(** {2 The bit format}
+
+    Each scheme's format is written once, as two allocation-free
+    functions over a caller-owned record; {!encode} and {!decode} wrap
+    them. *)
+
+(** One memory word's two sides: the stored [word], [tag] and [aux] side
+    bits, and the register image [value], [base], [bound]. *)
+type fields = {
+  mutable word : int;
+  mutable tag : int;
+  mutable aux : int;
+  mutable value : int;
+  mutable base : int;
+  mutable bound : int;
+}
+
+val fields : unit -> fields
+(** A fresh, zeroed record. *)
+
+val pack : scheme -> value:int -> base:int -> bound:int -> fields -> kind
+(** Store side: set [word], [tag] and [aux] (Intern11's stolen bits, 0
+    otherwise) for the register [{value; base; bound}]; returns its
+    {!classify} kind.  Raises {!Hb_error.Hb_error} for an Intern4 pointer
+    into the shadow half of the address space. *)
+
+val unpack : scheme -> word:int -> tag:int -> aux:int -> fields -> kind
+(** Load side: set [value] for a memory word with its tag and side bits;
+    a [Narrow] word also sets [base] and [bound] (a [Wide] one's live in
+    the shadow space).  Total over every word, including those only a
+    fault injection produces. *)
+
+(** {2 The variant API} *)
+
 (** How a register's [{value, metadata}] is represented in memory. *)
 type encoded =
   | Enc_non_pointer of int  (** stored word; tag 0 *)
@@ -39,6 +86,7 @@ type encoded =
       (** base and bound must also be written to the shadow space. *)
 
 val encode : scheme -> value:int -> Meta.t -> encoded
+(** {!pack} into a fresh variant. *)
 
 (** Result of decoding a loaded word given its tag (and side bits). *)
 type decoded =
@@ -47,23 +95,12 @@ type decoded =
   | Dec_shadow of int           (** base/bound must be loaded *)
 
 val decode : scheme -> word:int -> tag:int -> aux:int -> decoded
-
-(** Where a register's metadata would live if stored: compressed inline
-    ([Narrow]) or in the base/bound shadow space ([Wide]). *)
-type kind = Non_pointer | Narrow | Wide
-
-val kind_name : kind -> string
-
-val classify : scheme -> value:int -> base:int -> bound:int -> kind
-(** Total (never-raising) shape of {!encode} for a value with bounds
-    [\[base, bound)], given as plain ints so the per-instruction caller
-    builds no record: observes without storing, so even addresses
-    [encode] rejects (Intern4 shadow-half pointers) classify as [Wide].
-    Drives the timeline's encoding-transition counters. *)
+(** {!unpack} into a fresh variant. *)
 
 val needs_shadow : scheme -> value:int -> base:int -> bound:int -> bool
 (** Would storing this register need a shadow-space access (and the
-    metadata micro-op of Section 5.4)? *)
+    metadata micro-op of Section 5.4)?  [classify ... = Wide]: total, so
+    an Intern4 shadow-half pointer answers [true] instead of raising. *)
 
 val roundtrip_exact : scheme -> value:int -> Meta.t -> bool
 (** Test hook: decode (encode x) reproduces x exactly. *)

@@ -22,6 +22,14 @@ val read_bits : t -> int -> int -> int -> int
 val write_bits : t -> int -> int -> int -> int -> unit
 (** [write_bits t addr shift mask v]: read-modify-write a bit field. *)
 
+val exchange_bits : t -> int -> int -> int -> int -> int
+(** [exchange_bits t addr shift mask v]: {!write_bits}, returning the
+    field's old value. *)
+
+val exchange_u32 : t -> int -> int -> int
+(** [exchange_u32 t addr v]: {!write_u32}, returning the word it
+    replaced. *)
+
 val peek_u8 : t -> int -> int
 (** Non-materializing read: an absent page reads as zero and is not
     allocated, so observers (e.g. the shadow-metadata census) never

@@ -54,8 +54,8 @@ type t = {
   mutable max_depth_seen : int;
   mutable truncations : int;
   (* address-space heat: page index -> dynamic counts *)
-  heat_access : (int, int) Hashtbl.t;
-  heat_checks : (int, int) Hashtbl.t;
+  heat_access : (int, int ref) Hashtbl.t;
+  heat_checks : (int, int ref) Hashtbl.t;
 }
 
 let mk_node ~id ~name ~parent ~depth =
@@ -330,10 +330,12 @@ let export t (reg : Metrics.t) =
 
 (* ---- address-space heat map ------------------------------------------ *)
 
+(* One counter per page, found in place: a page already seen costs a
+   lookup and an increment, and allocates nothing. *)
 let bump tbl page =
-  match Hashtbl.find_opt tbl page with
-  | Some n -> Hashtbl.replace tbl page (n + 1)
-  | None -> Hashtbl.replace tbl page 1
+  match Hashtbl.find tbl page with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add tbl page (ref 1)
 
 (** Count one cache-hierarchy access touching [page]. *)
 let heat_touch t page = bump t.heat_access page
@@ -347,7 +349,7 @@ let heat_pages t =
   let pages = Hashtbl.create 64 in
   Hashtbl.iter (fun p _ -> Hashtbl.replace pages p ()) t.heat_access;
   Hashtbl.iter (fun p _ -> Hashtbl.replace pages p ()) t.heat_checks;
-  let get tbl p = match Hashtbl.find_opt tbl p with Some n -> n | None -> 0 in
+  let get tbl p = match Hashtbl.find_opt tbl p with Some n -> !n | None -> 0 in
   List.sort compare
     (Hashtbl.fold
        (fun p () acc ->

@@ -86,6 +86,31 @@ let test_intern4_bit_stealing () =
      | _ -> Alcotest.fail "expected inline decode")
   | _ -> Alcotest.fail "expected inline encode"
 
+(* Decoding is total: every tag a scheme's tag width can hold, over words
+   and side bits only a fault injection produces, decodes without
+   raising, and the intern-4 flag with size code 0 reads as a pointer
+   with empty bounds (every access through it then traps). *)
+let test_decode_total () =
+  List.iter
+    (fun scheme ->
+      for tag = 0 to (1 lsl Encoding.tag_bits scheme) - 1 do
+        List.iter
+          (fun word ->
+            List.iter
+              (fun aux -> ignore (Encoding.decode scheme ~word ~tag ~aux))
+              [ 0; 1; 2047; 4095 ])
+          [ 0; 1; 0x07FFFFFF; 0x7FFFFFFF; 0x80000000; 0x87FFFFFF; 0xF8000000;
+            0xFFFFFFFF ]
+      done)
+    Encoding.all_schemes;
+  let v = 0x123458 in
+  match Encoding.decode Encoding.Intern4 ~word:(0x80000000 lor v) ~tag:1 ~aux:0 with
+  | Encoding.Dec_inline (v', m) ->
+    Alcotest.(check int) "value" v v';
+    Alcotest.(check bool) "empty bounds" true
+      (Meta.equal m (Meta.make ~base:v ~size:0))
+  | _ -> Alcotest.fail "expected an inline pointer"
+
 let test_intern4_region_limit () =
   (* pointers outside the lowest 128MB are not compressible *)
   let v = 0x09000000 in
@@ -216,6 +241,54 @@ let test_checker_modes () =
      Alcotest.(check bool) "non-pointer recorded" false
        (Meta.is_pointer v.Checker.meta))
 
+(* The checker spells out [Meta.bounded] and [Meta.covers] (-opaque keeps
+   it from inlining them), and so does the classifier's non-pointer test:
+   both against their owner at the edges of a region, for every width. *)
+let test_checker_matches_meta () =
+  let regions =
+    [ (0, 0); (0, 1); (1, 0); (0x1000, 0x1004); (0x1000, 0x1000);
+      (0, Hb_isa.Types.max_int32u);
+      (Hb_isa.Types.max_int32u, Hb_isa.Types.max_int32u) ]
+  in
+  List.iter
+    (fun (base, bound) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "classify [0x%x, 0x%x)" base bound)
+        (not (Meta.bounded ~base ~bound))
+        (Encoding.classify Encoding.Extern4 ~value:base ~base ~bound
+         = Encoding.Non_pointer);
+      List.iter
+        (fun width ->
+          List.iter
+            (fun addr ->
+              List.iter
+                (fun mode ->
+                  let want =
+                    if not (Meta.bounded ~base ~bound) then
+                      if mode = Checker.Full then `Non_pointer else `Unchecked
+                    else if Meta.covers ~base ~bound ~addr ~width then `Checked
+                    else `Bounds
+                  in
+                  let got =
+                    match
+                      Checker.check mode ~base ~bound ~pc:0 ~addr ~value:addr
+                        ~width ~is_store:false
+                    with
+                    | true -> `Checked
+                    | false -> `Unchecked
+                    | exception Checker.Bounds_violation _ -> `Bounds
+                    | exception Checker.Non_pointer_deref _ -> `Non_pointer
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s [0x%x, 0x%x) at 0x%x width %d"
+                       (Checker.mode_name mode) base bound addr width)
+                    true (got = want))
+                [ Checker.Malloc_only; Checker.Full ])
+            [ base - 1; base; base + 1; bound - width - 1; bound - width;
+              bound - width + 1; bound; bound + 1 ])
+        [ 1; 2; 4 ])
+    regions
+
 (* ---- Propagation (Figure 3) ----------------------------------------- *)
 
 let test_propagation () =
@@ -265,6 +338,7 @@ let () =
           tc "extern-4 spec" test_extern4;
           tc "intern-4 bit stealing" test_intern4_bit_stealing;
           tc "intern-4 region limit" test_intern4_region_limit;
+          tc "decode is total" test_decode_total;
           tc "intern-11 spec" test_intern11;
           tc "uncompressed spec" test_uncompressed;
           tc "tag widths" test_tag_bits;
@@ -279,6 +353,10 @@ let () =
               qt (prop_classify_matches_encode s);
             ])
           Encoding.all_schemes );
-      ("checker", [ tc "modes" test_checker_modes ]);
+      ( "checker",
+        [
+          tc "modes" test_checker_modes;
+          tc "agrees with Meta" test_checker_matches_meta;
+        ] );
       ("propagation", [ tc "figure-3 rules" test_propagation ]);
     ]

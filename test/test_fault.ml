@@ -350,6 +350,37 @@ let test_stochastic_rate_zero_is_masked () =
   Alcotest.(check string) "uninjected run is masked" "masked"
     (Outcome.name s.Campaign.s_outcome)
 
+(* The campaign report for power (every injection site, seed 7) under
+   each encoding, pinned as one MD5 each: an injected run's outcome,
+   latency and divergence point depend on every simulated byte, so a
+   codec or interpreter slip shows here.  Recorded before the
+   interpreter was pre-decoded. *)
+let test_campaign_report_pin () =
+  let image, globals =
+    Build.compile ~mode:Codegen.Hardbound
+      (Hb_workloads.Workloads.find "power").Hb_workloads.Workloads.source
+  in
+  let cfg =
+    { Campaign.default with
+      Campaign.label = "power"; runs = 10; seed = 7;
+      sites = Injector.all_sites }
+  in
+  let digest scheme =
+    let config = Build.config_for ~scheme Codegen.Hardbound in
+    let mk () = Machine.create ~config ~globals image in
+    let report = Json.to_string_pretty (Campaign.to_json (Campaign.run ~mk cfg)) in
+    (Hardbound.Encoding.scheme_name scheme, Digest.to_hex (Digest.string report))
+  in
+  Alcotest.(check (list (pair string string)))
+    "report digest per encoding"
+    [
+      ("uncompressed", "38f6f736c36d85af40b5a19f3eff2537");
+      ("extern-4", "3164c3850429ba149de2f3e08bc2a8e0");
+      ("intern-4", "901b47b307ace08c1adadbf5336b2e41");
+      ("intern-11", "9b1776ea71f8bc8824d6375c9148df9a");
+    ]
+    (List.map digest Hardbound.Encoding.all_schemes)
+
 let () =
   Alcotest.run "fault"
     [
@@ -387,5 +418,7 @@ let () =
             test_campaign_slow_path_matches_fast;
           Alcotest.test_case "stochastic-rate-zero" `Quick
             test_stochastic_rate_zero_is_masked;
+          Alcotest.test_case "power report pin, every encoding" `Quick
+            test_campaign_report_pin;
         ] );
     ]

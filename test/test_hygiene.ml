@@ -176,6 +176,90 @@ let test_scanner_sees_the_prng () =
   Alcotest.(check int) "exactly one exempt clock module" 1
     (List.length (List.filter exempt files))
 
+(* ---- the build the benchmark measures -------------------------------- *)
+
+(* perfbench builds the default dev profile, so a speedup has to come
+   from the code: no dune-workspace at the root (it could pick another
+   profile) and no dune file that sets compiler flags or a profile.  The
+   dune files under these directories are this test's deps. *)
+let build_dirs = [ ".."; "../lib"; "../bin"; "../perfbench"; "."; "../bench";
+                   "../examples" ]
+
+let build_fields = [ "flags"; "ocamlopt_flags"; "ocamlc_flags"; "env"; "profile" ]
+
+(* dune files at [dir] (and below it, except the root, whose other
+   subdirectories are not ours to police) *)
+let rec dune_files ~deep dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.concat_map (fun entry ->
+         let path = Filename.concat dir entry in
+         if entry = "dune" && not (Sys.is_directory path) then [ path ]
+         else if
+           deep && Sys.is_directory path && entry.[0] <> '.' && entry.[0] <> '_'
+         then dune_files ~deep path
+         else [])
+
+(* The field names a dune file opens, outside comments and strings: every
+   atom that directly follows an open parenthesis. *)
+let opened_fields src =
+  let n = String.length src in
+  let is_atom c =
+    not (c = '(' || c = ')' || c = '"' || c = ';' || c = ' ' || c = '\t'
+         || c = '\n' || c = '\r')
+  in
+  let rec skip_string i =
+    if i >= n then n
+    else if src.[i] = '\\' then skip_string (i + 2)
+    else if src.[i] = '"' then i + 1
+    else skip_string (i + 1)
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match src.[i] with
+      | ';' -> (
+        match String.index_from_opt src i '\n' with
+        | Some j -> go j acc
+        | None -> List.rev acc)
+      | '"' -> go (skip_string (i + 1)) acc
+      | '(' ->
+        let j = ref (i + 1) in
+        while !j < n && (src.[!j] = ' ' || src.[!j] = '\t' || src.[!j] = '\n') do
+          incr j
+        done;
+        let k = ref !j in
+        while !k < n && is_atom src.[!k] do incr k done;
+        go !k (String.sub src !j (!k - !j) :: acc)
+      | _ -> go (i + 1) acc
+  in
+  go 0 []
+
+let test_default_build () =
+  if Sys.file_exists "../dune-workspace" then
+    Alcotest.fail "a dune-workspace at the root changes the measured build";
+  let files =
+    List.concat_map (fun d -> dune_files ~deep:(d <> "..") d) build_dirs
+  in
+  if List.length files < 20 then
+    Alcotest.failf "suspiciously few dune files found (%d) -- missing deps?"
+      (List.length files);
+  let offenders =
+    List.concat_map
+      (fun path ->
+        List.filter_map
+          (fun f ->
+            if List.mem f build_fields then Some (path ^ " sets (" ^ f ^ " ...)")
+            else None)
+          (opened_fields (read_file path)))
+      files
+  in
+  match offenders with
+  | [] -> ()
+  | off ->
+    Alcotest.failf
+      "dune files must leave flags and profile to dune's defaults:\n%s"
+      (String.concat "\n" off)
+
 let () =
   Alcotest.run "hygiene"
     [
@@ -187,5 +271,10 @@ let () =
             test_clock_confinement;
           Alcotest.test_case "scanner coverage" `Quick
             test_scanner_sees_the_prng;
+        ] );
+      ( "build",
+        [
+          Alcotest.test_case "default profile, no flags" `Quick
+            test_default_build;
         ] );
     ]
