@@ -1,4 +1,5 @@
-(** Generic set-associative cache model with LRU replacement.
+(** Storage of a set-associative cache model with LRU replacement; the
+    set walk that looks an address up is [Hierarchy.cache_access].
 
     Only hit/miss behaviour is modelled (the timing simulator charges a
     fixed fill latency per miss); writeback traffic is not separately
@@ -54,57 +55,15 @@ let num_sets t = 1 lsl t.set_bits
 
 let[@inline] is_filled t set = Bytes.unsafe_get t.filled set <> '\000'
 
+(** Write set [set]'s slots (tags -1, stamps 0) and mark it filled.
+    [Hierarchy]'s set walk, the one access path, calls it on a set's
+    first touch. *)
 let fill t set =
   for i = set * t.assoc to ((set + 1) * t.assoc) - 1 do
     set64 t.ways (i lsl 4) (-1L);
     set64 t.ways ((i lsl 4) + 8) 0L
   done;
   Bytes.unsafe_set t.filled set '\001'
-
-(** Access a byte address; returns [true] on hit.  A miss installs the
-    block, evicting the LRU way (the first way with the smallest stamp).
-
-    This is the hit path of every simulated memory access, so it is
-    written for the native compiler: the fill check is one byte load and
-    a compare, a set's first touch leaves by a tail call (the hot path
-    keeps nothing live across a call), the ways are walked by byte
-    offset, and tags and stamps are compared as unboxed [int64]s. *)
-let rec access t addr =
-  let block = addr lsr t.block_bits in
-  let set = block land (num_sets t - 1) in
-  if not (is_filled t set) then fill_then_access t addr set
-  else begin
-    t.clock <- t.clock + 1;
-    t.accesses <- t.accesses + 1;
-    let tag = Int64.of_int (block lsr t.set_bits) in
-    let ways = t.ways in
-    let first = (set * t.assoc) lsl 4 in
-    let limit = first + (t.assoc lsl 4) in
-    let off = ref first in
-    while !off < limit && get64 ways !off <> tag do
-      off := !off + 16
-    done;
-    if !off < limit then begin
-      set64 ways (!off + 8) (Int64.of_int t.clock);
-      true
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      let victim = ref first in
-      let o = ref (first + 16) in
-      while !o < limit do
-        if get64 ways (!o + 8) < get64 ways (!victim + 8) then victim := !o;
-        o := !o + 16
-      done;
-      set64 ways !victim tag;
-      set64 ways (!victim + 8) (Int64.of_int t.clock);
-      false
-    end
-  end
-
-and[@inline never] fill_then_access t addr set =
-  fill t set;
-  access t addr
 
 (** Non-allocating lookup, for tests and introspection; a set never
     touched holds nothing. *)

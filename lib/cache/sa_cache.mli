@@ -1,6 +1,8 @@
-(** Generic set-associative cache model with LRU replacement.  Only
-    hit/miss behaviour is modelled; the timing simulator charges a fixed
-    fill latency per miss. *)
+(** Storage of a set-associative cache model with LRU replacement: way
+    tags and stamps, counters, residency checks.  The set walk that looks
+    an address up is [Hierarchy.cache_access].  Only hit/miss
+    behaviour is modelled; the timing simulator charges a fixed fill
+    latency per miss. *)
 
 type t = {
   name : string;
@@ -25,10 +27,9 @@ val create : name:string -> size_bytes:int -> assoc:int -> block_bytes:int -> t
 
 val num_sets : t -> int
 
-val access : t -> int -> bool
-(** Access a byte address; [true] on hit.  A miss installs the block,
-    evicting the LRU way (the first way with the smallest stamp).
-    Allocates nothing. *)
+val fill : t -> int -> unit
+(** [fill t set] writes set [set]'s way slots (tags -1, stamps 0) and
+    marks it filled: the set walk calls it on the set's first touch. *)
 
 val probe : t -> int -> bool
 (** Non-allocating residency check (tests/introspection). *)

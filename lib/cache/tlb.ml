@@ -2,7 +2,8 @@
 
     The paper uses 4-way set-associative 256-entry TLBs with 4KB pages and a
     12-cycle miss penalty; the data TLB covers data and base/bound shadow
-    accesses, and the tag metadata cache has a TLB of its own. *)
+    accesses, and the tag metadata cache has a TLB of its own.  A lookup
+    is [Hierarchy.tlb_access]. *)
 
 type t = { cache : Sa_cache.t; page_bits : int }
 
@@ -14,9 +15,6 @@ let create ~name ~entries ~assoc ~page_bytes =
       Sa_cache.create ~name ~size_bytes:entries ~assoc ~block_bytes:1;
     page_bits;
   }
-
-(** Returns [true] on TLB hit for the page containing [addr]. *)
-let access t addr = Sa_cache.access t.cache (addr lsr t.page_bits)
 
 let accesses t = t.cache.Sa_cache.accesses
 let misses t = t.cache.Sa_cache.misses
