@@ -7,8 +7,7 @@
      dune exec bench/main.exe -- --list       # experiment index
 
    The simulator's host speed is benchmarked by perfbench
-   (perfbench/README.md); the wall times the shard and serve experiments
-   print are advisory. *)
+   (perfbench/README.md). *)
 
 module Figures = Hb_harness.Figures
 module Suite = Hb_harness.Suite
@@ -30,10 +29,6 @@ let experiments =
     ("attr", "Per-PC attribution: top hotspots + differential overhead");
     ("timeline", "Timeline: windowed phase samples + shadow census");
     ("flame", "Calling-context profiles: exclusive-sum identity per encoding");
-    ("shard", "Sharded campaign engine: speedup vs worker count, \
-               byte-identical merge");
-    ("serve", "Simulation daemon: job round-trip latency, service \
-               overhead vs direct campaign, byte-identical reports");
   ]
 
 let banner title =
@@ -108,7 +103,14 @@ let run_experiment name =
       List.map
         (fun wl ->
           Printf.eprintf "[fault] campaign on %s...\n%!" wl;
-          let r = Hb_harness.Resilience.campaign cfg wl in
+          let mode = Codegen.Hardbound in
+          let image, globals =
+            Hb_runtime.Build.compile ~mode
+              (Hb_workloads.Workloads.find wl).Hb_workloads.Workloads.source
+          in
+          let config = Hb_runtime.Build.config_for mode in
+          let mk () = Hb_cpu.Machine.create ~config ~globals image in
+          let r = Campaign.run ~mk { cfg with Campaign.label = wl } in
           Printf.printf "%s: golden %s, %d instrs, %d runs\n%s\n" wl
             r.Campaign.golden_status r.Campaign.golden_instrs
             (List.length r.Campaign.records)
@@ -323,214 +325,6 @@ let run_experiment name =
         Hb_workloads.Workloads.all
     in
     note_json name (Json.Obj reports)
-  | "shard" ->
-    banner "Sharded campaign engine: speedup by worker count";
-    (* Wall-clock speedup of the forked supervised engine over the serial
-       runner, plus the property the engine is really about: the merged
-       report must be byte-identical to the serial one at every worker
-       count.  Speedup tracks physical cores — on a single-core host the
-       honest answer is ~1x — and the numbers are printed, never a
-       gate. *)
-    let module Campaign = Hb_fault.Campaign in
-    let module Clock = Hb_obs.Clock in
-    let wl = "power" in
-    let cfg = { Campaign.default with Campaign.runs = 40; seed = 7 } in
-    let cores = Domain.recommended_domain_count () in
-    let time f =
-      let t0 = Clock.now_ns () in
-      let r = f () in
-      (r, Clock.elapsed_s ~t0)
-    in
-    Printf.eprintf "[shard] serial reference (%d runs on %s)...\n%!"
-      cfg.Campaign.runs wl;
-    let serial, serial_s =
-      time (fun () -> Hb_harness.Resilience.campaign cfg wl)
-    in
-    let serial_doc = Json.to_string (Campaign.to_json serial) in
-    Printf.printf "workload %s, %d runs, seed %d (host: %d core(s))\n\n" wl
-      cfg.Campaign.runs cfg.Campaign.seed cores;
-    Printf.printf "%-6s %10s %10s %10s\n" "jobs" "wall s" "speedup"
-      "identical";
-    Printf.printf "%-6s %10.2f %10s %10s\n" "serial" serial_s "-" "-";
-    let rows =
-      List.map
-        (fun jobs ->
-          Printf.eprintf "[shard] --jobs %d...\n%!" jobs;
-          let shard_cfg =
-            { Hb_shard.Supervisor.default with Hb_shard.Supervisor.jobs }
-          in
-          let report, secs =
-            time (fun () ->
-                Hb_harness.Resilience.sharded_campaign ~shard_cfg cfg wl)
-          in
-          if Json.to_string (Campaign.to_json report) <> serial_doc then
-            Hb_error.fail ~component:"bench"
-              "sharded report diverged from serial at --jobs %d" jobs;
-          let speedup = if secs > 0.0 then serial_s /. secs else 0.0 in
-          Printf.printf "%-6d %10.2f %9.2fx %10s\n" jobs secs speedup "yes";
-          (jobs, secs, speedup))
-        [ 1; 2; 4; 8 ]
-    in
-    let shard_json =
-      Json.Obj
-        [
-          ("workload", Json.String wl);
-          ("runs", Json.Int cfg.Campaign.runs);
-          ("seed", Json.Int cfg.Campaign.seed);
-          ("cores", Json.Int cores);
-          ("serial_wall_s", Json.Float serial_s);
-          ( "points",
-            Json.List
-              (List.map
-                 (fun (jobs, secs, speedup) ->
-                   Json.Obj
-                     [
-                       ("jobs", Json.Int jobs);
-                       ("wall_s", Json.Float secs);
-                       ("speedup", Json.Float speedup);
-                       ("identical", Json.Bool true);
-                     ])
-                 rows) );
-        ]
-    in
-    note_json name shard_json
-  | "serve" ->
-    banner "Simulation daemon: service overhead over direct campaigns";
-    (* The daemon's whole deal is that serving a job costs bytes-wise
-       nothing: the report a worker journals must equal the direct
-       in-process campaign's byte for byte (a divergence fails the
-       experiment).  The wall numbers — queue round-trip latency vs the
-       direct run — are host-varying and advisory. *)
-    let module Campaign = Hb_fault.Campaign in
-    let module Clock = Hb_obs.Clock in
-    let module Proto = Hb_serve.Proto in
-    let module Queue = Hb_serve.Queue in
-    let module Daemon = Hb_serve.Daemon in
-    let specs =
-      List.map
-        (fun (wl, seed) ->
-          { Proto.default with Proto.workload = wl; runs = 2; seed })
-        [ ("power", 1); ("power", 2); ("perimeter", 3) ]
-    in
-    let time f =
-      let t0 = Clock.now_ns () in
-      let r = f () in
-      (r, Clock.elapsed_s ~t0)
-    in
-    let direct spec =
-      let image, globals =
-        Hb_runtime.Build.compile ~mode:spec.Proto.mode (Proto.source spec)
-      in
-      let config =
-        Hb_runtime.Build.config_for ~scheme:spec.Proto.scheme ~temporal:false
-          ~max_instrs:Hb_runtime.Build.default_fuel spec.Proto.mode
-      in
-      Hardbound.Checker.reset_tally ();
-      let mk () = Hb_cpu.Machine.create ~config ~globals image in
-      Campaign.run ~mk (Proto.campaign_config spec)
-    in
-    Printf.eprintf "[serve] direct reference campaigns...\n%!";
-    let directs =
-      List.map
-        (fun spec ->
-          let report, secs = time (fun () -> direct spec) in
-          (Json.to_string_pretty (Campaign.to_json report) ^ "\n", secs))
-        specs
-    in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "hb_bench_serve_%d" (Unix.getpid ()))
-    in
-    let rec rm p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-    in
-    rm dir;
-    Printf.eprintf "[serve] daemon round trips...\n%!";
-    let d = Daemon.start (Daemon.default ~port:0 ~dir) in
-    let lat, total_s =
-      Fun.protect
-        ~finally:(fun () -> Daemon.stop d)
-        (fun () ->
-          time (fun () ->
-              List.map
-                (fun spec ->
-                  let job, secs =
-                    time (fun () ->
-                        let job =
-                          Queue.submit (Daemon.queue d) ~spec
-                        in
-                        let rec wait () =
-                          match job.Queue.state with
-                          | Queue.Done -> job
-                          | Queue.Poisoned r | Queue.Failed r ->
-                            Hb_error.fail ~component:"bench"
-                              "daemon job died: %s" r
-                          | _ ->
-                            Unix.sleepf 0.02;
-                            wait ()
-                        in
-                        wait ())
-                  in
-                  let got =
-                    let path =
-                      Filename.concat
-                        (Queue.job_dir (Daemon.queue d) job.Queue.id)
-                        "report.json"
-                    in
-                    let ic = open_in_bin path in
-                    let n = in_channel_length ic in
-                    let s = really_input_string ic n in
-                    close_in ic;
-                    s
-                  in
-                  (job.Queue.id, secs, got))
-                specs))
-    in
-    rm dir;
-    Printf.printf "%-6s %-10s %10s %10s %10s\n" "job" "workload" "direct s"
-      "daemon s" "identical";
-    let rows =
-      List.map2
-        (fun ((id, daemon_s, got), spec) (expect, direct_s) ->
-          if got <> expect then
-            Hb_error.fail ~component:"bench"
-              "daemon report diverged from the direct campaign for job j%d"
-              id;
-          Printf.printf "%-6s %-10s %10.2f %10.2f %10s\n"
-            (Printf.sprintf "j%d" id)
-            spec.Proto.workload direct_s daemon_s "yes";
-          (id, spec.Proto.workload, direct_s, daemon_s))
-        (List.map2 (fun a b -> (a, b)) lat specs)
-        directs
-    in
-    Printf.printf "\n%d jobs through the daemon in %.2f s wall\n"
-      (List.length specs) total_s;
-    note_json name
-      (Json.Obj
-         [
-           ("experiment", Json.String "serve");
-           ("jobs", Json.Int (List.length specs));
-           ("total_wall_s", Json.Float total_s);
-           ( "points",
-             Json.List
-               (List.map
-                  (fun (id, wl, direct_s, daemon_s) ->
-                    Json.Obj
-                      [
-                        ("job", Json.Int id);
-                        ("workload", Json.String wl);
-                        ("direct_wall_s", Json.Float direct_s);
-                        ("daemon_wall_s", Json.Float daemon_s);
-                        ("identical", Json.Bool true);
-                      ])
-                  rows) );
-         ])
   | other ->
     Printf.eprintf "unknown experiment %s; use --list\n" other;
     exit 1

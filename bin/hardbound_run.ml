@@ -4,7 +4,6 @@
      dune exec bin/hardbound_run.exe -- prog.c
      dune exec bin/hardbound_run.exe -- prog.c --mode softfat --stats
      dune exec bin/hardbound_run.exe -- prog.s --asm --mode malloc-only
-     dune exec bin/hardbound_run.exe -- prog.c --emit-asm   # print assembly
      dune exec bin/hardbound_run.exe -- prog.c --profile --trace t.jsonl
 
    Fault injection (see EXPERIMENTS.md, "Fault campaigns"):
@@ -89,18 +88,9 @@ let asm =
   Arg.(value & flag
        & info [ "asm" ] ~doc:"Input is textual assembly, not MiniC")
 
-let emit_asm =
-  Arg.(value & flag
-       & info [ "emit-asm" ] ~doc:"Print generated assembly instead of running")
-
 let fuel =
-  Arg.(value & opt int 400_000_000
+  Arg.(value & opt int Hb_runtime.Build.default_fuel
        & info [ "fuel" ] ~docv:"N" ~doc:"Maximum instructions to execute")
-
-let trace_instrs =
-  Arg.(value & opt int 0
-       & info [ "trace-instrs" ] ~docv:"N"
-           ~doc:"Print an execution trace of the first N instructions")
 
 let trace_file =
   Arg.(value & opt (some string) None
@@ -282,7 +272,7 @@ let campaign_json =
 let campaign_checkpoints =
   Arg.(value & opt int Hb_fault.Campaign.default.Hb_fault.Campaign.checkpoints
        & info [ "campaign-checkpoints" ] ~docv:"K"
-           ~doc:"Golden-divergence checkpoints per run")
+           ~doc:"Golden-divergence checkpoints per run (0 or more)")
 
 let policy_conv =
   let parse s =
@@ -340,16 +330,11 @@ let jobs_arg =
            ~doc:"Partition the campaign plan across N forked worker \
                  processes (one crash-resilient journal shard each, at \
                  FILE.shardK when --journal/--resume give a FILE), \
-                 supervised with a heartbeat watchdog and bounded respawn. \
-                 The merged report is byte-identical to the serial run's; \
-                 a resume must use the same N")
-
-let max_worker_restarts_arg =
-  Arg.(value & opt int Hb_shard.Supervisor.default.Hb_shard.Supervisor.max_worker_restarts
-       & info [ "max-worker-restarts" ] ~docv:"K"
-           ~doc:"Respawns a crashed or hung shard worker gets before the \
-                 parent adopts its remaining slice inline (graceful \
-                 degradation to fewer workers)")
+                 supervised with a heartbeat watchdog; a worker that \
+                 crashes or hangs is respawned up to 3 times, then the \
+                 parent runs its slice inline.  The merged report is \
+                 byte-identical to the serial run's; a resume must use \
+                 the same N")
 
 let serve_conv =
   let parse s =
@@ -418,8 +403,11 @@ let daemon_arg =
                  instead of a one-shot run: POST /jobs accepts campaign \
                  specs (see hb_client), acknowledged jobs are journaled \
                  under --queue-dir and survive a daemon crash, and the \
-                 usual /metrics and /progress endpoints stay live.  Job \
-                 reports are byte-identical to the serial CLI's")
+                 usual /metrics and /progress endpoints stay live.  A job \
+                 gets 300 s unless its spec sets deadline_s, its worker is \
+                 SIGKILLed 5 s past that, and it is poisoned after 3 failed \
+                 attempts.  Job reports are byte-identical to the serial \
+                 CLI's")
 
 let queue_dir_arg =
   Arg.(value & opt (some string) None
@@ -445,25 +433,6 @@ let max_per_tenant_arg =
            ~doc:"Per-tenant fairness quota on jobs queued or running \
                  (--daemon)")
 
-let job_deadline_arg =
-  Arg.(value & opt float 300.
-       & info [ "job-deadline" ] ~docv:"SECS"
-           ~doc:"Default per-job wall budget; a spec's deadline_s \
-                 overrides it (--daemon)")
-
-let job_attempts_arg =
-  Arg.(value & opt int 3
-       & info [ "job-attempts" ] ~docv:"K"
-           ~doc:"Started attempts (with capped exponential backoff \
-                 between them) before a crashing or stuck job is marked \
-                 poisoned (--daemon)")
-
-let watchdog_grace_arg =
-  Arg.(value & opt float 5.
-       & info [ "watchdog-grace" ] ~docv:"SECS"
-           ~doc:"SIGKILL a worker this long after its job deadline should \
-                 have made it exit on its own (--daemon)")
-
 let mem_soft_kb_arg =
   Arg.(value & opt int 0
        & info [ "mem-soft-kb" ] ~docv:"KB"
@@ -477,7 +446,7 @@ let mem_hard_kb_arg =
                  KB; 0 disables (--daemon)")
 
 let run_daemon ~port ~queue_dir ~workers ~max_queued ~max_per_tenant
-    ~job_deadline ~job_attempts ~watchdog_grace ~mem_soft_kb ~mem_hard_kb =
+    ~mem_soft_kb ~mem_hard_kb =
   let dir =
     match queue_dir with
     | Some d -> d
@@ -493,9 +462,6 @@ let run_daemon ~port ~queue_dir ~workers ~max_queued ~max_per_tenant
   let cfg =
     { (Daemon.default ~port ~dir) with
       Daemon.admission;
-      job_deadline_s = job_deadline;
-      max_attempts = job_attempts;
-      watchdog_grace_s = watchdog_grace;
       log = Some (fun s -> Printf.eprintf "%s\n%!" s) }
   in
   Daemon.run cfg;
@@ -735,8 +701,8 @@ let with_host_plane ~serve_port ~tick ~host_spans ~host_chrome ~fleet_on
    given, every machine streams into the same sink. *)
 let run_fault ~mk_plain ~label ~inject ~campaign ~campaign_json
     ~campaign_checkpoints ~policy ~violation_budget ~journal ~resume
-    ~deadline ~jobs ~max_worker_restarts ~fleet ~trace_file ~trace_format
-    ~trace_retires ~metrics_json ~progress ~flame_folded =
+    ~deadline ~jobs ~fleet ~trace_file ~trace_format ~trace_retires
+    ~metrics_json ~progress ~flame_folded =
   let module Campaign = Hb_fault.Campaign in
   let module Injector = Hb_fault.Injector in
   let want_flame = flame_folded <> None in
@@ -840,7 +806,6 @@ let run_fault ~mk_plain ~label ~inject ~campaign ~campaign_json
         let scfg =
           { Hb_shard.Supervisor.default with
             Hb_shard.Supervisor.jobs;
-            max_worker_restarts;
             log = Some (fun s -> Printf.eprintf "%s\n%!" s) }
         in
         Hb_shard.Shard.run ?journal ?resume
@@ -928,22 +893,20 @@ let run_fault ~mk_plain ~label ~inject ~campaign ~campaign_json
       match !sink with Some s -> s.Trace.close () | None -> ())
     body
 
-let run file workload mode scheme temporal stats stats_format asm emit_asm
-    fuel trace_instrs trace_file trace_format trace_events trace_retires
-    profile metrics_json metrics_prom attr_flag attr_json attr_top
+let run file workload mode scheme temporal stats stats_format asm fuel
+    trace_file trace_format trace_events trace_retires profile
+    metrics_json metrics_prom attr_flag attr_json attr_top
     timeline_flag timeline_jsonl timeline_csv sample_interval
     flame_flag flame_folded flame_chrome heatmap_flag heatmap_json diff_pair
     inject campaign campaign_json campaign_checkpoints policy
-    violation_budget journal resume deadline jobs max_worker_restarts
-    fleet_flag fleet_chrome serve_port progress_flag host_spans host_chrome
-    daemon_port queue_dir daemon_workers max_queued max_per_tenant
-    job_deadline job_attempts watchdog_grace mem_soft_kb mem_hard_kb =
+    violation_budget journal resume deadline jobs fleet_flag fleet_chrome
+    serve_port progress_flag host_spans host_chrome daemon_port queue_dir
+    daemon_workers max_queued max_per_tenant mem_soft_kb mem_hard_kb =
   try
     match daemon_port with
     | Some port ->
       run_daemon ~port ~queue_dir ~workers:daemon_workers ~max_queued
-        ~max_per_tenant ~job_deadline ~job_attempts ~watchdog_grace
-        ~mem_soft_kb ~mem_hard_kb
+        ~max_per_tenant ~mem_soft_kb ~mem_hard_kb
     | None ->
     match diff_pair with
     | Some (a_path, b_path) ->
@@ -975,161 +938,138 @@ let run file workload mode scheme temporal stats stats_format asm emit_asm
         ((Hb_workloads.Workloads.find w).Hb_workloads.Workloads.source, w,
          false)
     in
-    if emit_asm then begin
+    let config =
+      Hb_runtime.Build.config_for ~scheme ~temporal ~max_instrs:fuel mode
+    in
+    let image, globals, line_base =
       if asm then
-        print_string
-          (Hb_isa.Printer.program_str (Hb_isa.Parser.parse_program source))
-      else begin
-        let compiled = Hb_minic.Driver.compile_source ~line_base:0 ~mode source in
-        print_string (Hb_isa.Printer.program_str compiled.Codegen.program)
+        (Hb_isa.Program.link (Hb_isa.Parser.parse_program source), "", 0)
+      else
+        Host.span "compile" @@ fun () ->
+        let image, globals = Hb_runtime.Build.compile ~mode source in
+        (image, globals, Hb_runtime.Build.runtime_lines)
+    in
+    Hardbound.Checker.reset_tally ();
+    if resume <> None && campaign <= 0 then begin
+      Printf.eprintf
+        "error: --resume needs the original campaign flags (at least \
+         --campaign N) so the journal header can be checked\n";
+      exit 2
+    end;
+    if jobs > 1 && campaign <= 0 then begin
+      Printf.eprintf "error: --jobs needs a campaign (--campaign N)\n";
+      exit 2
+    end;
+    if jobs > 1 && trace_file <> None then begin
+      Printf.eprintf
+        "error: --trace is not supported with --jobs > 1 (forked \
+         workers would interleave writes into one sink)\n";
+      exit 2
+    end;
+    if Fleet.active fleet && jobs <= 1 then begin
+      Printf.eprintf
+        "error: --fleet/--fleet-chrome need a sharded campaign \
+         (--jobs N with N > 1); the single-process plane is \
+         --host-spans/--host-chrome/--serve\n";
+      exit 2
+    end;
+    if campaign > 0 || inject <> None then begin
+      if
+        flame_flag || flame_chrome <> None || heatmap_flag
+        || heatmap_json <> None
+      then begin
+        Printf.eprintf
+          "error: fault campaigns support --flame-folded only (one \
+           aggregated flamegraph per outcome bucket); --flame, \
+           --flame-chrome and the heat map are single-run reports\n";
+        exit 2
       end;
-      0
+      run_fault
+        ~mk_plain:(fun () -> Machine.create ~config ~globals image)
+        ~label ~inject ~campaign ~campaign_json ~campaign_checkpoints
+        ~policy ~violation_budget ~journal ~resume ~deadline ~jobs ~fleet
+        ~trace_file ~trace_format ~trace_retires ~metrics_json ~progress:pr
+        ~flame_folded
     end
     else begin
-      let image, globals, config, line_base =
-        if asm then
-          ( Hb_isa.Program.link (Hb_isa.Parser.parse_program source),
-            "",
-            { Machine.scheme; mode = Codegen.machine_mode mode;
-              checked_deref_uop = false; temporal; tripwire = false;
-              max_instrs = fuel },
-            0 )
-        else
-          Host.span "compile" @@ fun () ->
-          let image, globals = Hb_runtime.Build.compile ~mode source in
-          ( image, globals,
-            Hb_runtime.Build.config_for ~scheme ~temporal ~max_instrs:fuel
-              mode,
-            Hb_runtime.Build.runtime_lines )
-      in
-      Hardbound.Checker.reset_tally ();
-      if resume <> None && campaign <= 0 then begin
-        Printf.eprintf
-          "error: --resume needs the original campaign flags (at least \
-           --campaign N) so the journal header can be checked\n";
-        exit 2
-      end;
-      if jobs > 1 && campaign <= 0 then begin
-        Printf.eprintf "error: --jobs needs a campaign (--campaign N)\n";
-        exit 2
-      end;
-      if jobs > 1 && trace_file <> None then begin
-        Printf.eprintf
-          "error: --trace is not supported with --jobs > 1 (forked \
-           workers would interleave writes into one sink)\n";
-        exit 2
-      end;
-      if Fleet.active fleet && jobs <= 1 then begin
-        Printf.eprintf
-          "error: --fleet/--fleet-chrome need a sharded campaign \
-           (--jobs N with N > 1); the single-process plane is \
-           --host-spans/--host-chrome/--serve\n";
-        exit 2
-      end;
-      if campaign > 0 || inject <> None then begin
-        if
-          flame_flag || flame_chrome <> None || heatmap_flag
-          || heatmap_json <> None
-        then begin
-          Printf.eprintf
-            "error: fault campaigns support --flame-folded only (one \
-             aggregated flamegraph per outcome bucket); --flame, \
-             --flame-chrome and the heat map are single-run reports\n";
-          exit 2
-        end;
-        run_fault
-          ~mk_plain:(fun () -> Machine.create ~config ~globals image)
-          ~label ~inject ~campaign ~campaign_json ~campaign_checkpoints
-          ~policy ~violation_budget ~journal ~resume ~deadline ~jobs
-          ~max_worker_restarts ~fleet ~trace_file ~trace_format
-          ~trace_retires ~metrics_json ~progress:pr ~flame_folded
-      end
-      else begin
-      let m = Machine.create ~config ~globals image in
-      (* publish this machine to the live endpoint: /metrics scrapes its
-         registry, /progress reads its instruction/cycle counters *)
-      live_reg := Some (fun () -> machine_metrics m ~profile);
-      Progress.set_poll pr (fun () ->
-          let s = m.Machine.stats in
-          (s.Stats.instructions, Stats.cycles s));
-      let close_trace =
-        setup_obs m ~trace_file ~trace_format ~trace_events ~trace_retires
-      in
-      if want_attr then Machine.enable_attr ~line_base m;
-      let want_flame =
-        flame_flag || flame_folded <> None || flame_chrome <> None
-        || heatmap_flag || heatmap_json <> None
-      in
-      if want_flame then Machine.enable_flame m;
-      let want_timeline =
-        timeline_flag || timeline_jsonl <> None || timeline_csv <> None
-      in
-      if want_timeline then begin
-        Machine.enable_timeline ~interval:sample_interval m;
-        match Machine.timeline m with
-        | None -> ()
-        | Some tl ->
-          (match timeline_jsonl with
-           | Some path -> Timeline.add_sink tl (Timeline.jsonl_sink path)
-           | None -> ());
-          (match timeline_csv with
-           | Some path -> Timeline.add_sink tl (Timeline.csv_sink path)
-           | None -> ())
-      end;
-      (* The trace sink must be closed (Chrome traces need their closing
-         bracket) even when the run dies with Hb_error / Sys_error — and
-         the timeline's JSONL/CSV writers get the same guarantee. *)
-      let finalize () =
-        close_trace ();
-        match Machine.timeline m with
-        | Some tl -> Timeline.close_sinks tl
-        | None -> ()
-      in
-      Fun.protect ~finally:finalize (fun () ->
-          let supervisor = ref (fun (_ : Metrics.t) -> ()) in
-          let status =
-            Host.span "run" @@ fun () ->
-            let st =
-            (* a non-abort policy (or a wall-clock budget) routes the run
-               through the trap supervisor; it is bit-identical to
-               [Machine.run] until a trap fires or the deadline hits *)
-            if policy <> Policy.Abort || deadline <> None then begin
-              let rcfg =
-                { Policy.default with Policy.policy; violation_budget }
-              in
-              let o =
-                Recover.run ~deadline:(Deadline.of_secs deadline) ~line_base
-                  ~config:rcfg m
-              in
-              List.iter
-                (fun h ->
-                  Printf.printf "trap: %s\n" (Recover.describe_handled h))
-                o.Recover.traps;
-              if o.Recover.traps <> [] || o.Recover.deadline_expired then
-                print_endline (Recover.summary o);
-              supervisor := Recover.export_metrics o;
-              o.Recover.status
-            end
-            else if trace_instrs > 0 then
-              match
-                Machine.run_traced m ~n:trace_instrs ~out:print_endline
-              with
-              | Some st -> st
-              | None -> Machine.run m
-            else Machine.run m
+    let m = Machine.create ~config ~globals image in
+    (* publish this machine to the live endpoint: /metrics scrapes its
+       registry, /progress reads its instruction/cycle counters *)
+    live_reg := Some (fun () -> machine_metrics m ~profile);
+    Progress.set_poll pr (fun () ->
+        let s = m.Machine.stats in
+        (s.Stats.instructions, Stats.cycles s));
+    let close_trace =
+      setup_obs m ~trace_file ~trace_format ~trace_events ~trace_retires
+    in
+    if want_attr then Machine.enable_attr ~line_base m;
+    let want_flame =
+      flame_flag || flame_folded <> None || flame_chrome <> None
+      || heatmap_flag || heatmap_json <> None
+    in
+    if want_flame then Machine.enable_flame m;
+    let want_timeline =
+      timeline_flag || timeline_jsonl <> None || timeline_csv <> None
+    in
+    if want_timeline then begin
+      Machine.enable_timeline ~interval:sample_interval m;
+      match Machine.timeline m with
+      | None -> ()
+      | Some tl ->
+        (match timeline_jsonl with
+         | Some path -> Timeline.add_sink tl (Timeline.jsonl_sink path)
+         | None -> ());
+        (match timeline_csv with
+         | Some path -> Timeline.add_sink tl (Timeline.csv_sink path)
+         | None -> ())
+    end;
+    (* The trace sink must be closed (Chrome traces need their closing
+       bracket) even when the run dies with Hb_error / Sys_error — and
+       the timeline's JSONL/CSV writers get the same guarantee. *)
+    let finalize () =
+      close_trace ();
+      match Machine.timeline m with
+      | Some tl -> Timeline.close_sinks tl
+      | None -> ()
+    in
+    Fun.protect ~finally:finalize (fun () ->
+        let supervisor = ref (fun (_ : Metrics.t) -> ()) in
+        let status =
+          Host.span "run" @@ fun () ->
+          let st =
+          (* a non-abort policy (or a wall-clock budget) routes the run
+             through the trap supervisor; it is bit-identical to
+             [Machine.run] until a trap fires or the deadline hits *)
+          if policy <> Policy.Abort || deadline <> None then begin
+            let rcfg =
+              { Policy.default with Policy.policy; violation_budget }
             in
-            let s = m.Machine.stats in
-            Host.annotate_live "instrs" s.Stats.instructions;
-            Host.annotate_live "cycles" (Stats.cycles s);
-            st
+            let o =
+              Recover.run ~deadline:(Deadline.of_secs deadline) ~line_base
+                ~config:rcfg m
+            in
+            List.iter
+              (fun h ->
+                Printf.printf "trap: %s\n" (Recover.describe_handled h))
+              o.Recover.traps;
+            if o.Recover.traps <> [] || o.Recover.deadline_expired then
+              print_endline (Recover.summary o);
+            supervisor := Recover.export_metrics o;
+            o.Recover.status
+          end
+          else Machine.run m
           in
-          report m status ~label ~mode ~scheme ~stats ~stats_format ~profile
-            ~attr_show:attr_flag ~attr_json ~attr_top
-            ~timeline_show:timeline_flag ~metrics_json ~metrics_prom
-            ~flame_show:flame_flag ~flame_folded ~flame_chrome
-            ~heatmap_show:heatmap_flag ~heatmap_json
-            ~extra_metrics:(fun reg -> !supervisor reg) ())
-      end
+          let s = m.Machine.stats in
+          Host.annotate_live "instrs" s.Stats.instructions;
+          Host.annotate_live "cycles" (Stats.cycles s);
+          st
+        in
+        report m status ~label ~mode ~scheme ~stats ~stats_format ~profile
+          ~attr_show:attr_flag ~attr_json ~attr_top
+          ~timeline_show:timeline_flag ~metrics_json ~metrics_prom
+          ~flame_show:flame_flag ~flame_folded ~flame_chrome
+          ~heatmap_show:heatmap_flag ~heatmap_json
+          ~extra_metrics:(fun reg -> !supervisor reg) ())
     end
   with
   | Hb_minic.Driver.Compile_error msg ->
@@ -1157,18 +1097,17 @@ let cmd =
   Cmd.v
     (Cmd.info "hardbound_run" ~doc)
     Term.(const run $ file $ workload $ mode $ scheme $ temporal $ stats
-          $ stats_format $ asm $ emit_asm $ fuel $ trace_instrs $ trace_file
-          $ trace_format $ trace_events $ trace_retires $ profile
+          $ stats_format $ asm $ fuel $ trace_file $ trace_format
+          $ trace_events $ trace_retires $ profile
           $ metrics_json $ metrics_prom $ attr_flag $ attr_json $ attr_top
           $ timeline_flag $ timeline_jsonl $ timeline_csv $ sample_interval
           $ flame_flag $ flame_folded $ flame_chrome $ heatmap_flag
           $ heatmap_json $ diff_arg $ inject $ campaign $ campaign_json
           $ campaign_checkpoints $ on_violation $ violation_budget
-          $ journal_arg $ resume_arg $ deadline_arg $ jobs_arg
-          $ max_worker_restarts_arg $ fleet_arg $ fleet_chrome_arg
-          $ serve_arg $ progress_arg $ host_spans_arg $ host_chrome_arg
+          $ journal_arg $ resume_arg $ deadline_arg $ jobs_arg $ fleet_arg
+          $ fleet_chrome_arg $ serve_arg $ progress_arg $ host_spans_arg
+          $ host_chrome_arg
           $ daemon_arg $ queue_dir_arg $ daemon_workers_arg $ max_queued_arg
-          $ max_per_tenant_arg $ job_deadline_arg $ job_attempts_arg
-          $ watchdog_grace_arg $ mem_soft_kb_arg $ mem_hard_kb_arg)
+          $ max_per_tenant_arg $ mem_soft_kb_arg $ mem_hard_kb_arg)
 
 let () = exit (Cmd.eval' cmd)

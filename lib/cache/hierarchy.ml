@@ -207,16 +207,6 @@ let total_stalls t =
   t.data_stats.stall_cycles + t.bb_stats.stall_cycles
   + t.tag_stats.stall_cycles
 
-let reset_stats t =
-  List.iter
-    (fun s ->
-      s.accesses <- 0;
-      s.l1_misses <- 0;
-      s.l2_misses <- 0;
-      s.tlb_misses <- 0;
-      s.stall_cycles <- 0)
-    [ t.data_stats; t.bb_stats; t.tag_stats ]
-
 let class_name = function
   | Data -> "data"
   | Base_bound -> "base_bound"

@@ -74,7 +74,6 @@ val tlb_access : Tlb.t -> int -> bool
 
 val stats_of : t -> access_class -> class_stats
 val total_stalls : t -> int
-val reset_stats : t -> unit
 
 val class_name : access_class -> string
 

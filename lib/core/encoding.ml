@@ -62,11 +62,6 @@ let extern4_uncompressed_tag = 15
     ([Narrow]) or in the base/bound shadow space ([Wide]). *)
 type kind = Non_pointer | Narrow | Wide
 
-let kind_name = function
-  | Non_pointer -> "non_pointer"
-  | Narrow -> "narrow"
-  | Wide -> "wide"
-
 (** Which pointers compress: the one definition {!pack} and {!encode}
     store by.  Total: a pointer into the shadow half of the address space
     under Intern4 classifies as [Wide], although {!pack} refuses to store

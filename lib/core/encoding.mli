@@ -33,8 +33,6 @@ val extern4_uncompressed_tag : int
     ([Narrow]) or in the base/bound shadow space ([Wide]). *)
 type kind = Non_pointer | Narrow | Wide
 
-val kind_name : kind -> string
-
 val classify : scheme -> value:int -> base:int -> bound:int -> kind
 (** Which pointers compress, for a value with bounds [\[base, bound)]
     given as plain ints: the one definition {!pack} and {!encode} store

@@ -1382,25 +1382,6 @@ let step m =
     exec m op
   | Some r -> step_hooked m r op
 
-(** One line of execution trace: pc, enclosing function, instruction, and
-    the accumulator registers with their metadata (debugging aid for the
-    [hardbound_run --trace] CLI). *)
-let describe_state m =
-  if m.pc < 0 || m.pc >= Array.length m.image.code then
-    Printf.sprintf "%8d <pc out of range>" m.pc
-  else
-    let i = m.image.code.(m.pc) in
-    let reg r =
-      let md = reg_meta m r in
-      if Meta.is_pointer md then
-        Printf.sprintf "%s=0x%x%s" (reg_name r) m.regs.(r) (Meta.to_string md)
-      else Printf.sprintf "%s=%d" (reg_name r) (to_signed m.regs.(r))
-    in
-    Printf.sprintf "%8d %-12s %-32s %s %s" m.pc
-      m.image.fn_of_index.(m.pc)
-      (Hb_isa.Printer.instr_str i)
-      (reg t0) (reg t1)
-
 (* Record a violation in the trace (so the report's "last events" window
    ends with the fault itself). *)
 let emit_violation m what (v : Checker.violation) =
@@ -1433,27 +1414,6 @@ let halt_of_exn m e =
   in
   m.halted <- Some st;
   st
-
-(** Run at most [n] instructions, reporting each to [out] before executing
-    it.  Returns the status if the program finished within the budget or
-    ran out of fuel ([cfg.max_instrs]) first. *)
-let run_traced m ~n ~(out : string -> unit) : status option =
-  let rec loop k =
-    match m.halted with
-    | Some st -> Some st
-    | None ->
-      if m.stats.instructions >= m.cfg.max_instrs then begin
-        m.halted <- Some Out_of_fuel;
-        m.halted
-      end
-      else if k = 0 then None
-      else begin
-        out (describe_state m);
-        step m;
-        loop (k - 1)
-      end
-  in
-  try loop n with e -> Some (halt_of_exn m e)
 
 (** Run to completion.  Exceptions raised by checks become statuses. *)
 let run m =

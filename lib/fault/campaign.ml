@@ -385,7 +385,13 @@ let validate (cfg : config) =
     Hb_error.fail ~component:"campaign" "no fault sites selected";
   if cfg.window_interval <= 0 then
     Hb_error.fail ~component:"campaign"
-      "window interval must be positive (got %d)" cfg.window_interval
+      "window interval must be positive (got %d)" cfg.window_interval;
+  if cfg.checkpoints < 0 then
+    Hb_error.fail ~component:"campaign"
+      "checkpoints must be >= 0 (got %d)" cfg.checkpoints;
+  if cfg.violation_budget < 0 then
+    Hb_error.fail ~component:"campaign"
+      "violation budget must be >= 0 (got %d)" cfg.violation_budget
 
 let prepare ~mk (cfg : config) : golden =
   validate cfg;

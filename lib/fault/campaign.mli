@@ -83,7 +83,8 @@ val run :
 (** Execute a campaign.  [mk] builds a fresh machine for the workload
     (the library deliberately does not know how to compile programs).
     Raises {!Hb_error.Hb_error} if the golden run does not exit cleanly
-    or the config is vacuous.
+    or the config is out of range: no runs, no sites, a non-positive
+    window interval, or a negative checkpoint count or violation budget.
 
     [observe] sees each freshly-executed record together with the
     machine that produced it, before the next run reuses that machine —
@@ -128,8 +129,7 @@ type golden
 
 val prepare : mk:(unit -> Machine.t) -> config -> golden
 (** Validate the config and execute the golden reference (under a
-    ["golden"] host span).  Raises {!Hb_error.Hb_error} if the config is
-    vacuous or the golden run does not exit cleanly. *)
+    ["golden"] host span).  Raises {!Hb_error.Hb_error} as {!run} does. *)
 
 type plan_entry = {
   p_idx : int;

@@ -385,8 +385,6 @@ let uop_ablation_report () : string * Json.t =
   in
   (Buffer.contents b, json)
 
-let uop_ablation () = fst (uop_ablation_report ())
-
 (* ---- Section 5.2: correctness sweep ----------------------------------- *)
 
 let correctness_report () : string * Json.t =
@@ -425,8 +423,6 @@ let correctness_report () : string * Json.t =
       ]
   in
   (Buffer.contents b, json)
-
-let correctness () = fst (correctness_report ())
 
 (* ---- Section 3.2: malloc-only mode ------------------------------------ *)
 
@@ -480,8 +476,6 @@ let malloc_only_report () : string * Json.t =
       ]
   in
   (Buffer.contents b, json)
-
-let malloc_only () = fst (malloc_only_report ())
 
 (* ---- Section 2.1: red-zone tripwire baseline --------------------------- *)
 
@@ -574,8 +568,6 @@ let redzone_report () : string * Json.t =
   in
   (Buffer.contents b, json)
 
-let redzone () = fst (redzone_report ())
-
 (* ---- Section 6.2: temporal extension ----------------------------------- *)
 
 let temporal_report () : string * Json.t =
@@ -634,5 +626,3 @@ int main() {
       ]
   in
   (Buffer.contents b, json)
-
-let temporal () = fst (temporal_report ())

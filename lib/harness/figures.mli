@@ -25,28 +25,18 @@ val figure7 : Suite.per_workload list -> string
 
 val figure7_json : Suite.per_workload list -> Hb_obs.Json.t
 
-val uop_ablation : unit -> string
+val uop_ablation_report : unit -> string * Hb_obs.Json.t
 (** Section 5.4: charge one extra micro-op per bounds check of an
     uncompressed pointer. *)
 
-val uop_ablation_report : unit -> string * Hb_obs.Json.t
-
-val correctness : unit -> string
+val correctness_report : unit -> string * Hb_obs.Json.t
 (** Section 5.2: full violation-corpus sweep. *)
 
-val correctness_report : unit -> string * Hb_obs.Json.t
-
-val malloc_only : unit -> string
+val malloc_only_report : unit -> string * Hb_obs.Json.t
 (** Section 3.2: detection scope of the legacy-binary mode. *)
 
-val malloc_only_report : unit -> string * Hb_obs.Json.t
-
-val redzone : unit -> string
+val redzone_report : unit -> string * Hb_obs.Json.t
 (** Section 2.1: red-zone tripwire baseline — detection and its gap. *)
 
-val redzone_report : unit -> string * Hb_obs.Json.t
-
-val temporal : unit -> string
-(** Section 6.2: the temporal-tracking extension on micro-tests. *)
-
 val temporal_report : unit -> string * Hb_obs.Json.t
+(** Section 6.2: the temporal-tracking extension on micro-tests. *)

@@ -38,13 +38,6 @@ type outcome_class =
   | Missed
   | Anomalous of string
 
-let class_name = function
-  | Detected_abort -> "detected-abort"
-  | Detected_survived -> "detected-survived"
-  | Detected_impaired -> "detected-impaired"
-  | Missed -> "missed"
-  | Anomalous s -> "anomalous: " ^ s
-
 (** Compile and run one source under the supervisor. *)
 let supervised ?(scheme = Encoding.Extern4) ?(mode = Codegen.Hardbound)
     ?(max_instrs = 5_000_000) ~policy src : Recover.outcome =

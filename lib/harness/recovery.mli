@@ -18,8 +18,6 @@ type outcome_class =
   | Missed  (** clean exit, no trap *)
   | Anomalous of string  (** no trap, yet did not exit cleanly *)
 
-val class_name : outcome_class -> string
-
 val supervised :
   ?scheme:Encoding.scheme ->
   ?mode:Codegen.mode ->

@@ -87,28 +87,6 @@ let decompose ~(baseline : record) (hb : record) : decomposition =
 
 module Json = Hb_obs.Json
 
-let record_json (r : record) : Json.t =
-  Json.Obj
-    [
-      ("workload", Json.String r.workload);
-      ("mode", Json.String (Codegen.mode_name r.mode));
-      ("scheme", Json.String (Encoding.scheme_name r.scheme));
-      ("instructions", Json.Int r.instructions);
-      ("uops", Json.Int r.uops);
-      ("cycles", Json.Int r.cycles);
-      ("setbound_instrs", Json.Int r.setbound_instrs);
-      ("metadata_uops", Json.Int r.metadata_uops);
-      ("check_uops", Json.Int r.check_uops);
-      ("data_stalls", Json.Int r.data_stalls);
-      ("bb_stalls", Json.Int r.bb_stalls);
-      ("tag_stalls", Json.Int r.tag_stalls);
-      ("data_pages", Json.Int r.data_pages);
-      ("tag_pages", Json.Int r.tag_pages);
-      ("shadow_pages", Json.Int r.shadow_pages);
-      ("ptr_loads_shadow", Json.Int r.ptr_loads_shadow);
-      ("ptr_stores_shadow", Json.Int r.ptr_stores_shadow);
-    ]
-
 let decomposition_json (d : decomposition) : Json.t =
   Json.Obj
     [

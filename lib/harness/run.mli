@@ -46,7 +46,4 @@ type decomposition = {
 
 val decompose : baseline:record -> record -> decomposition
 
-val record_json : record -> Hb_obs.Json.t
-(** Every measured counter of one run as a flat JSON object. *)
-
 val decomposition_json : decomposition -> Hb_obs.Json.t

@@ -106,8 +106,6 @@ let append_nosync = push
 
 let close w = guarded w.path (fun () -> close_out w.oc)
 
-let path_of w = w.path
-
 (** Read every intact record.  The last line is the torn-tail candidate:
     if it fails to parse (or the file does not end in a newline), it is
     dropped silently — that is the crash the journal exists to survive.

@@ -32,8 +32,6 @@ val append_nosync : writer -> Hb_obs.Json.t -> unit
 
 val close : writer -> unit
 
-val path_of : writer -> string
-
 val read : string -> Hb_obs.Json.t list
 (** All intact records; drops a torn tail; raises a typed error on
     mid-file corruption, naming path and line. *)

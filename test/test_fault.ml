@@ -350,6 +350,24 @@ let test_stochastic_rate_zero_is_masked () =
   Alcotest.(check string) "uninjected run is masked" "masked"
     (Outcome.name s.Campaign.s_outcome)
 
+(* An out-of-range config is a typed error before any run, so serial CLI
+   campaigns, shards and daemon jobs share one rule. *)
+let test_config_validation () =
+  let mk = maker () in
+  let ok = { campaign_cfg with Campaign.runs = 2 } in
+  List.iter
+    (fun (what, cfg) ->
+      match Campaign.run ~mk cfg with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Hb_error.Hb_error _ -> ())
+    [
+      ("runs 0", { ok with Campaign.runs = 0 });
+      ("no sites", { ok with Campaign.sites = [] });
+      ("window 0", { ok with Campaign.window_interval = 0 });
+      ("checkpoints -1", { ok with Campaign.checkpoints = -1 });
+      ("budget -1", { ok with Campaign.violation_budget = -1 });
+    ]
+
 (* The campaign report for power (every injection site, seed 7) under
    each encoding, pinned as one MD5 each: an injected run's outcome,
    latency and divergence point depend on every simulated byte, so a
@@ -420,5 +438,7 @@ let () =
             test_stochastic_rate_zero_is_masked;
           Alcotest.test_case "power report pin, every encoding" `Quick
             test_campaign_report_pin;
+          Alcotest.test_case "config validation" `Quick
+            test_config_validation;
         ] );
     ]

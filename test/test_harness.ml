@@ -127,7 +127,7 @@ let test_printers () =
     [ fig5; fig6; fig7 ]
 
 let test_temporal_report () =
-  let s = Figures.temporal () in
+  let s = fst (Figures.temporal_report ()) in
   let contains hay needle =
     let lh = String.length hay and ln = String.length needle in
     let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
