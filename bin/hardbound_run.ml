@@ -943,7 +943,9 @@ let run file workload mode scheme temporal stats stats_format asm fuel
     in
     let image, globals, line_base =
       if asm then
-        (Hb_isa.Program.link (Hb_isa.Parser.parse_program source), "", 0)
+        ( Hb_isa.Program.link (Hb_isa.Parser.parse_program source),
+          Hb_mem.Globals.empty,
+          0 )
       else
         Host.span "compile" @@ fun () ->
         let image, globals = Hb_runtime.Build.compile ~mode source in

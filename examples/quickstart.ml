@@ -23,7 +23,11 @@ let () =
     let image =
       Program.link { funcs = [ { name = "main"; body } ]; entry = "main" }
     in
-    let m = Machine.create ~globals:"ABCDEFGH" image in
+    let m =
+      Machine.create
+        ~globals:{ Hb_mem.Globals.size = 8; inits = [ (0, "ABCDEFGH") ] }
+        image
+    in
     Machine.run m
   in
   (* set R1 <- obj; setbound R2 <- R1,4  -- as done inside malloc(4) *)

@@ -12,6 +12,7 @@
 open Hb_isa.Types
 module Layout = Hb_mem.Layout
 module Physmem = Hb_mem.Physmem
+module Globals = Hb_mem.Globals
 module Hierarchy = Hb_cache.Hierarchy
 module Meta = Hardbound.Meta
 module Encoding = Hardbound.Encoding
@@ -334,50 +335,31 @@ let fault m msg = raise (Machine_fault (Printf.sprintf "%s (pc=%d, fn=%s)" msg m
      m.image.fn_of_index.(m.pc)
    else "?")))
 
-external get64 : string -> int -> int64 = "%caml_string_get64"
-
-(* The 64 bytes of [s] from [i] are all zero: eight words OR-ed
-   together, unboxed. *)
-let zero64 s i =
-  Int64.(
-    logor
-      (logor
-         (logor (get64 s i) (get64 s (i + 8)))
-         (logor (get64 s (i + 16)) (get64 s (i + 24))))
-      (logor
-         (logor (get64 s (i + 32)) (get64 s (i + 40)))
-         (logor (get64 s (i + 48)) (get64 s (i + 56))))
-    = 0L)
-
-(** Create a machine for a linked image.  [globals] is the initial byte
-    image of the globals region.  In full-safety mode the stack and global
-    pointers start life as bounded pointers covering their whole regions —
-    the paper's compiler then *narrows* bounds for address-taken objects. *)
-let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
+(** Create a machine for a linked image.  [globals] is the globals
+    region: its size and the initialized bytes at their offsets.  In
+    full-safety mode the stack and global pointers start life as bounded
+    pointers covering their whole regions — the paper's compiler then
+    *narrows* bounds for address-taken objects. *)
+let create ?(config = default_config) ~(globals : Globals.t)
+    (image : Hb_isa.Program.image) =
   let mem = Physmem.create () in
-  (* Pages are zero-filled on demand: skip zero bytes so that large
-     zero-initialized globals (e.g. the object-table node pool, a
-     megabyte holding a handful of non-zero bytes) do not touch pages the
-     program never uses.  Zero runs are skipped 64 bytes (eight words
-     OR-ed together) at a time; a run holding data is scanned a word at a
-     time, and only a non-zero word's bytes are looked at one by one. *)
-  let len = String.length globals in
-  let load_byte i =
-    let c = String.unsafe_get globals i in
-    if c <> '\000' then
-      Physmem.write_u8 mem (Layout.globals_base + i) (Char.code c)
-  in
-  let i = ref 0 in
-  while !i + 8 <= len do
-    if !i land 63 = 0 && !i + 64 <= len && zero64 globals !i then
-      i := !i + 64
-    else begin
-      if get64 globals !i <> 0L then
-        for j = !i to !i + 7 do load_byte j done;
-      i := !i + 8
-    end
-  done;
-  for j = !i to len - 1 do load_byte j done;
+  (* The loader writes each init's non-zero bytes and nothing else: pages
+     are zero-filled on first touch, so the zero-initialized globals (the
+     object table's megabyte node pool), an all-zero initializer and the
+     zero padding of [char s[64] = "ab"] materialize no page. *)
+  List.iter
+    (fun (off, s) ->
+      let len = String.length s in
+      if off < 0 || off + len > globals.size then
+        Hb_error.fail ~component:"loader" ~addr:(Layout.globals_base + off)
+          "globals init of %d bytes at offset %d outside the %d-byte region"
+          len off globals.size;
+      for i = 0 to len - 1 do
+        let c = String.unsafe_get s i in
+        if c <> '\000' then
+          Physmem.write_u8 mem (Layout.globals_base + off + i) (Char.code c)
+      done)
+    globals.inits;
   let tag_bits = Encoding.tag_bits config.scheme in
   let hier = Hierarchy.create (Hierarchy.default_params ~tag_bits) in
   let m =
@@ -418,7 +400,7 @@ let create ?(config = default_config) ~globals (image : Hb_isa.Program.image) =
      m.rbase.(fp) <- Layout.stack_base;
      m.rbound.(fp) <- Layout.stack_top;
      m.rbase.(gp) <- Layout.globals_base;
-     m.rbound.(gp) <- Layout.globals_base + String.length globals
+     m.rbound.(gp) <- Layout.globals_base + globals.size
    end);
   m
 

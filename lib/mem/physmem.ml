@@ -191,10 +191,3 @@ let import_pages t pages =
   t.pages <- 0;
   List.iter (fun (_, r) -> r := 0) t.touched_by_region;
   Array.iter (fun (idx, bytes) -> install t idx (Bytes.copy bytes)) pages
-
-(** Bulk helpers used by the program loader. *)
-let write_bytes t addr (s : string) =
-  String.iteri (fun i c -> write_u8 t (addr + i) (Char.code c)) s
-
-let read_string t addr len =
-  String.init len (fun i -> Char.chr (read_u8 t (addr + i)))

@@ -56,8 +56,3 @@ val import_pages : t -> (int * Bytes.t) array -> unit
 (** Replace the entire memory contents with a previously exported set;
     recomputes the per-region touched-page counters from the imported
     pages. *)
-
-val write_bytes : t -> int -> string -> unit
-(** Bulk store (program loader). *)
-
-val read_string : t -> int -> int -> string

@@ -937,7 +937,7 @@ let collect_strings (p : tprogram) =
 
 type compiled = {
   program : Hb_isa.Types.program;
-  globals_image : string;
+  globals_image : Hb_mem.Globals.t;
 }
 
 let compile ~(mode : mode) (p : tprogram) : compiled =
@@ -954,36 +954,28 @@ let compile ~(mode : mode) (p : tprogram) : compiled =
     in
     go
   in
-  (* lay out globals, then string literals *)
+  (* lay out globals, then string literals, collecting what each
+     initializes *)
   let globals = Hashtbl.create 64 in
+  let inits = ref [] in
   let offset = ref 0 in
   List.iter
     (fun g ->
       let size = (g.tg_size + 3) land lnot 3 in
       Hashtbl.replace globals g.tg_name (!offset, g.tg_ty);
+      Option.iter (fun b -> inits := (!offset, b) :: !inits) g.tg_bytes;
       offset := !offset + size)
     p.tp_globals;
   let strings = Hashtbl.create 32 in
   List.iter
     (fun s ->
       Hashtbl.replace strings s !offset;
+      inits := (!offset, s) :: !inits;
       offset := !offset + ((String.length s + 1 + 3) land lnot 3))
     (collect_strings p);
   let image_size = max !offset 4 in
   if Layout.globals_base + image_size > Layout.globals_limit then
     err "globals do not fit (%d bytes)" image_size;
-  let image = Bytes.make image_size '\000' in
-  List.iter
-    (fun g ->
-      match g.tg_bytes with
-      | Some b ->
-        let off, _ = Hashtbl.find globals g.tg_name in
-        Bytes.blit_string b 0 image off (String.length b)
-      | None -> ())
-    p.tp_globals;
-  Hashtbl.iter
-    (fun s off -> Bytes.blit_string s 0 image off (String.length s))
-    strings;
   (* synthesize _start: startup initializers, object-table global
      registration, call main, exit *)
   let start_ctx =
@@ -1037,8 +1029,8 @@ let compile ~(mode : mode) (p : tprogram) : compiled =
   let funcs =
     start_fn :: List.map (gen_fun ~mode ~globals ~strings ~sizeof) p.tp_funcs
   in
-  (* [image] never escapes: hand it over without copying its megabyte *)
   {
     program = { funcs; entry = "_start" };
-    globals_image = Bytes.unsafe_to_string image;
+    globals_image =
+      { Hb_mem.Globals.size = image_size; inits = List.rev !inits };
   }

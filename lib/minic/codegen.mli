@@ -36,7 +36,9 @@ exception Codegen_error of string
 
 type compiled = {
   program : Hb_isa.Types.program;
-  globals_image : string;  (** initial bytes of the globals region *)
+  globals_image : Hb_mem.Globals.t;
+      (** the globals region: its size and the initialized globals and
+          string literals at their offsets *)
 }
 
 val compile : mode:mode -> Tast.tprogram -> compiled

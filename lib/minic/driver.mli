@@ -10,6 +10,9 @@ val compile_source :
     lines after it from 1 and name a prelude line [rt.N]. *)
 
 val build :
-  line_base:int -> mode:Codegen.mode -> string -> Hb_isa.Program.image * string
+  line_base:int ->
+  mode:Codegen.mode ->
+  string ->
+  Hb_isa.Program.image * Hb_mem.Globals.t
 (** {!compile_source}, then validate and link.  Returns the executable
-    image and the initial globals byte image. *)
+    image and the globals region. *)

@@ -2,9 +2,11 @@
     simulated HardBound machine. *)
 
 val compile :
-  mode:Hb_minic.Codegen.mode -> string -> Hb_isa.Program.image * string
+  mode:Hb_minic.Codegen.mode ->
+  string ->
+  Hb_isa.Program.image * Hb_mem.Globals.t
 (** Compile runtime + user source as one translation unit; returns the
-    linked image and the globals byte image.  A lex or parse error names
+    linked image and the globals region.  A lex or parse error names
     the user's line (a runtime line as [rt.N]). *)
 
 val runtime_lines : int

@@ -78,7 +78,7 @@ type t = {
   (* compiled images cached per (workload, mode): forked children
      inherit them, so 500 treeadd jobs compile treeadd once *)
   images :
-    (string * string, Hb_isa.Program.image * string) Hashtbl.t;
+    (string * string, Hb_isa.Program.image * Hb_mem.Globals.t) Hashtbl.t;
 }
 
 let logf t fmt =

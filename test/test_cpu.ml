@@ -9,9 +9,14 @@ module Temporal = Hb_cpu.Temporal
 module Encoding = Hardbound.Encoding
 module Checker = Hardbound.Checker
 module Layout = Hb_mem.Layout
+module Physmem = Hb_mem.Physmem
+module Globals = Hb_mem.Globals
 
 let link_one body =
   Program.link { funcs = [ { name = "main"; body } ]; entry = "main" }
+
+(* A string as a globals region: one init at offset 0. *)
+let dense s = { Globals.size = String.length s; inits = [ (0, s) ] }
 
 (* Every machine this file runs also gets its stats audited: the charged
    stall classes must partition the stalls and cycles = uops + stalls. *)
@@ -21,7 +26,7 @@ let assert_invariants m =
   | Error msg -> Alcotest.fail ("stats invariants: " ^ msg)
 
 let run ?(config = Machine.default_config) ?(globals = "") body =
-  let m = Machine.create ~config ~globals (link_one body) in
+  let m = Machine.create ~config ~globals:(dense globals) (link_one body) in
   let st = Machine.run m in
   assert_invariants m;
   (st, m)
@@ -255,7 +260,10 @@ let test_code_pointers () =
     ]
   in
   let image = Program.link { funcs; entry = "main" } in
-  let m = Machine.create ~config:(full_cfg Encoding.Extern4) ~globals:"" image in
+  let m =
+    Machine.create ~config:(full_cfg Encoding.Extern4) ~globals:Globals.empty
+      image
+  in
   check_status "indirect call via licode" `Exit (Machine.run m);
   (* forged: integer used as code pointer *)
   let funcs_bad =
@@ -267,7 +275,10 @@ let test_code_pointers () =
     ]
   in
   let image = Program.link { funcs = funcs_bad; entry = "main" } in
-  let m = Machine.create ~config:(full_cfg Encoding.Extern4) ~globals:"" image in
+  let m =
+    Machine.create ~config:(full_cfg Encoding.Extern4) ~globals:Globals.empty
+      image
+  in
   check_status "forged code pointer rejected" `Non_pointer (Machine.run m);
   (* dereferencing a code pointer as data fails the bounds check *)
   let funcs_deref =
@@ -282,7 +293,10 @@ let test_code_pointers () =
     ]
   in
   let image = Program.link { funcs = funcs_deref; entry = "main" } in
-  let m = Machine.create ~config:(full_cfg Encoding.Extern4) ~globals:"" image in
+  let m =
+    Machine.create ~config:(full_cfg Encoding.Extern4) ~globals:Globals.empty
+      image
+  in
   check_status "code pointer deref rejected" `Bounds (Machine.run m)
 
 (* The paper's escape hatch: setbound.unsafe passes all checks. *)
@@ -310,32 +324,142 @@ let test_null_fault () =
   let st, _ = run ~config:Machine.baseline_config body in
   check_status "null deref" `Fault st
 
-(* The loader skips the globals image's zero bytes 64 bytes, then a
-   64-bit word, at a time: every non-zero byte lands, wherever it sits in
-   its word, in its 64-byte run or in the ragged tail, and only pages
-   holding one are materialized. *)
+(* The globals pages a machine has materialized, numbered from the
+   region's first. *)
+let globals_pages m =
+  Physmem.fold_pages m.Machine.mem ~init:[] ~f:(fun acc idx _ ->
+      let addr = idx * Layout.page_size in
+      if Layout.region_of addr = Layout.Globals then
+        ((addr - Layout.globals_base) / Layout.page_size) :: acc
+      else acc)
+  |> List.rev
+
+(* The loader writes each init's non-zero bytes: every one lands,
+   wherever it sits in its init, and only pages holding one are
+   materialized.  The inits are 1000-byte cuts of one byte string, so
+   some straddle a page and those over pages 2 and 4 hold only zeros. *)
 let test_loader_skips_zeros () =
   let len = (5 * Layout.page_size) + 13 in
   let nonzero =
     [ 0; 7; 8; 4099; (3 * Layout.page_size) + 5; len - 1 ]
-    (* eight 64-byte runs, each with one byte, in its run's j-th word *)
     @ List.init 8 (fun j -> Layout.page_size + (64 * (j + 1)) + (9 * j))
   in
-  let globals =
+  let bytes =
     String.init len (fun i ->
         if List.mem i nonzero then Char.chr (1 + (i mod 255)) else '\000')
   in
+  let inits =
+    List.init ((len + 999) / 1000) (fun k ->
+        (k * 1000, String.sub bytes (k * 1000) (min 1000 (len - (k * 1000)))))
+  in
   let m =
-    Machine.create ~config:Machine.baseline_config ~globals (link_one exit0)
+    Machine.create ~config:Machine.baseline_config
+      ~globals:{ Globals.size = len; inits }
+      (link_one exit0)
   in
   List.iter
     (fun i ->
       Alcotest.(check int) (Printf.sprintf "byte %d" i) (1 + (i mod 255))
-        (Hb_mem.Physmem.peek_u8 m.Machine.mem (Layout.globals_base + i)))
+        (Physmem.peek_u8 m.Machine.mem (Layout.globals_base + i)))
     nonzero;
   (* pages 0, 1, 3 and 5 hold a non-zero byte; 2 and 4 stay untouched *)
-  Alcotest.(check int) "globals pages" 4
-    (Hb_mem.Physmem.pages_touched_in m.Machine.mem Layout.Globals)
+  Alcotest.(check (list int)) "globals pages" [ 0; 1; 3; 5 ] (globals_pages m)
+
+(* An init that does not fit in its region is a typed loader error; one
+   that ends at the region's last byte loads. *)
+let test_loader_rejects_outside () =
+  let create inits =
+    Machine.create ~config:Machine.baseline_config
+      ~globals:{ Globals.size = 8; inits }
+      (link_one exit0)
+  in
+  List.iter
+    (fun (off, s) ->
+      match create [ (0, "ok"); (off, s) ] with
+      | exception Hb_error.Hb_error ({ Hb_error.component = "loader"; _ }, _)
+        ->
+        ()
+      | _ -> Alcotest.failf "init of %d bytes at %d loaded" (String.length s) off)
+    [ (-1, "a"); (5, "abcd"); (8, "a"); (9, ""); (-4, "") ];
+  let m = create [ (4, "abcd") ] in
+  Alcotest.(check int) "last byte" (Char.code 'd')
+    (Physmem.peek_u8 m.Machine.mem (Layout.globals_base + 7))
+
+(* Property: [Machine.create] loads a region as a dense reference loader
+   does, which writes the non-zero bytes of the whole region rendered as
+   one string.  Inits sit at random offsets, some all zero, some
+   straddling a page, the last one sometimes ending at [size - 1] and
+   sometimes followed by zeros.  Compared: every byte of the region, the
+   touched pages of every region and the bounds [gp] starts with. *)
+let prop_loader_reference =
+  let regions =
+    Layout.[ Code; Globals; Heap; Stack; Tag_space; Shadow_space; Other ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let init =
+        triple (int_bound 5000) (int_bound 6000)
+          (frequency [ (3, return `Random); (1, return `Zero) ])
+      in
+      let* parts = list_size (int_bound 6) init in
+      let* tail = oneof [ return 0; int_bound 5000 ] in
+      let* seed = int in
+      let* full = bool in
+      let st = Random.State.make [| seed |] in
+      let off = ref 0 in
+      let inits =
+        List.map
+          (fun (gap, len, kind) ->
+            let o = !off + gap in
+            off := o + len;
+            ( o,
+              String.init len (fun _ ->
+                  if kind = `Zero || Random.State.int st 3 = 0 then '\000'
+                  else Char.chr (Random.State.int st 256)) ))
+          parts
+      in
+      return (full, { Globals.size = !off + tail; inits }))
+  in
+  let print (full, g) =
+    Printf.sprintf "full=%b size=%d inits=[%s]" full g.Globals.size
+      (String.concat "; "
+         (List.map
+            (fun (o, s) -> Printf.sprintf "(%d, %S)" o s)
+            g.Globals.inits))
+  in
+  QCheck.Test.make ~name:"loader agrees with a dense reference loader"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (full, g) ->
+      let config =
+        if full then full_cfg Encoding.Extern4 else Machine.baseline_config
+      in
+      let m = Machine.create ~config ~globals:g (link_one exit0) in
+      let bytes = Bytes.make g.Globals.size '\000' in
+      List.iter
+        (fun (o, s) -> Bytes.blit_string s 0 bytes o (String.length s))
+        g.Globals.inits;
+      let ref_mem = Physmem.create () in
+      Bytes.iteri
+        (fun i c ->
+          if c <> '\000' then
+            Physmem.write_u8 ref_mem (Layout.globals_base + i) (Char.code c))
+        bytes;
+      let peek mem i = Physmem.peek_u8 mem (Layout.globals_base + i) in
+      let rec same i =
+        i >= g.Globals.size
+        || (peek m.Machine.mem i = peek ref_mem i && same (i + 1))
+      in
+      let gp_bounds = (m.Machine.rbase.(gp), m.Machine.rbound.(gp)) in
+      same 0
+      && List.for_all
+           (fun r ->
+             Physmem.pages_touched_in m.Machine.mem r
+             = Physmem.pages_touched_in ref_mem r)
+           regions
+      && gp_bounds
+         = if full then
+             (Layout.globals_base, Layout.globals_base + g.Globals.size)
+           else (0, 0))
 
 (* Metadata micro-op accounting: storing+loading an uncompressed pointer
    charges metadata uops; a compressed one does not. *)
@@ -520,7 +644,8 @@ let prop_alu_reference =
       Sne; Sgt; Sge; Sltu ]
   in
   let machine body =
-    Machine.create ~config:Machine.baseline_config ~globals:"" (link_one body)
+    Machine.create ~config:Machine.baseline_config ~globals:Globals.empty
+      (link_one body)
   in
   let reg_form = List.map (fun op -> (op, machine [ Alu (op, t2, t0, Reg t1) ])) ops in
   let reference op a b =
@@ -910,6 +1035,8 @@ let () =
           tc "unsafe escape hatch" test_unsafe_pointer;
           tc "null fault" test_null_fault;
           tc "loader skips zero bytes" test_loader_skips_zeros;
+          tc "loader rejects an init outside its region"
+            test_loader_rejects_outside;
           tc "metadata uop accounting" test_metadata_uops;
           tc "setbound with register size" test_setbound_reg_size;
           tc "setbound.narrow intersection" test_setbound_narrow;
@@ -928,5 +1055,6 @@ let () =
           tc "allocation budget per instruction" test_alloc_budget;
           tc "counter and page pin" test_counter_pin;
           QCheck_alcotest.to_alcotest prop_alu_reference;
+          QCheck_alcotest.to_alcotest prop_loader_reference;
         ] );
     ]

@@ -12,8 +12,12 @@ module Encoding = Hardbound.Encoding
 (* -- random program generator ------------------------------------------- *)
 
 (* Programs operate on: int locals x0..x3, a heap int array a[8] (always
-   indexed mod 8), and a global int array g[8].  All arithmetic avoids
-   division by zero by construction. *)
+   indexed mod 8), a global int array g[8] and an initialized global int
+   array gi[8].  All arithmetic avoids division by zero by construction.
+   Their initialized globals -- gi's random initializer list, a char
+   array set from a string literal and a char pointer to another -- sit a
+   page or more past a zero array, so the loader's placement of each is
+   checked through what the program prints. *)
 
 open QCheck.Gen
 
@@ -28,6 +32,7 @@ let gen_expr =
                 map (fun i -> Printf.sprintf "x%d" i) (int_range 0 3);
                 map (fun i -> Printf.sprintf "a[%d]" i) (int_range 0 7);
                 map (fun i -> Printf.sprintf "g[%d]" i) (int_range 0 7);
+                map (fun i -> Printf.sprintf "gi[%d]" i) (int_range 0 7);
                 return "*p";
               ]
           in
@@ -78,12 +83,30 @@ let gen_stmt =
     let* i = int_range 0 7 in
     return (Printf.sprintf "p = &a[0] + %d; *p = *p + 1; p = &a[%d];" i i)
 
+let gen_text = string_size ~gen:(char_range 'a' 'z') (int_range 0 15)
+
 let gen_program =
   let* stmts = list_size (int_range 3 12) gen_stmt in
+  let* zeros = int_range 1024 3072 in
+  let* inits = list_size (int_range 1 8) (int_range (-300) 300) in
+  let* text = gen_text in
+  let* literal = gen_text in
+  (* what the program prints last: no statement writes these globals *)
+  let tail =
+    String.concat ""
+      (List.init 8 (fun i ->
+           string_of_int (Option.value (List.nth_opt inits i) ~default:0)
+           ^ " "))
+    ^ Printf.sprintf "0 %s %s" text literal
+  in
   return
-    (Printf.sprintf
+    ( Printf.sprintf
        {|
+int gz[%d];
 int g[8];
+int gi[8] = {%s};
+char gs[16] = "%s";
+char *gp = "%s";
 int main() {
   int x0; int x1; int x2; int x3;
   int it;
@@ -98,39 +121,55 @@ int main() {
   print_int(x0 + x1 + x2 + x3);
   print_char(32);
   for (i = 0; i < 8; i++) { print_int(a[i] + g[i]); print_char(32); }
+  for (i = 0; i < 8; i++) { print_int(gi[i]); print_char(32); }
+  print_int(gz[0] + gz[%d]); print_char(32);
+  print_str(gs); print_char(32);
+  print_str(gp);
   return 0;
 }
 |}
-       (String.concat "\n  " stmts))
+       zeros
+       (String.concat ", " (List.map string_of_int inits))
+       text literal
+       (String.concat "\n  " stmts)
+       (zeros - 1),
+      tail )
 
-let arb_program = QCheck.make ~print:(fun s -> s) gen_program
+let arb_program = QCheck.make ~print:fst gen_program
 
-let baseline_output src =
+(* The baseline's output, which must end with what the initialized
+   globals hold. *)
+let baseline_output (src, tail) =
   match Build.run ~mode:Codegen.Nochecks src with
-  | Machine.Exited 0, m -> Machine.output m
+  | Machine.Exited 0, m ->
+    let out = Machine.output m in
+    if not (String.ends_with ~suffix:tail out) then
+      QCheck.Test.fail_reportf "baseline printed %S, expected it to end %S"
+        out tail;
+    out
   | st, _ ->
     QCheck.Test.fail_reportf "baseline failed: %s" (Machine.status_name st)
 
-let agrees src mode scheme =
+let agrees ((src, _) as prog) mode scheme =
   match Build.run ~scheme ~mode src with
-  | Machine.Exited 0, m -> Machine.output m = baseline_output src
+  | Machine.Exited 0, m -> Machine.output m = baseline_output prog
   | st, _ ->
     QCheck.Test.fail_reportf "%s/%s: %s" (Codegen.mode_name mode)
       (Encoding.scheme_name scheme) (Machine.status_name st)
 
 let prop_modes_agree =
   QCheck.Test.make ~name:"all modes reproduce baseline output" ~count:60
-    arb_program (fun src ->
+    arb_program (fun prog ->
       List.for_all
-        (fun mode -> agrees src mode Encoding.Extern4)
+        (fun mode -> agrees prog mode Encoding.Extern4)
         [ Codegen.Hardbound; Codegen.Hardbound_malloc_only; Codegen.Softfat;
           Codegen.Objtable ])
 
 let prop_encodings_agree =
   QCheck.Test.make ~name:"all encodings reproduce baseline output" ~count:40
-    arb_program (fun src ->
+    arb_program (fun prog ->
       List.for_all
-        (fun scheme -> agrees src Codegen.Hardbound scheme)
+        (fun scheme -> agrees prog Codegen.Hardbound scheme)
         Encoding.all_schemes)
 
 (* pointer round-trips through memory survive every mode: regression net

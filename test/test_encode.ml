@@ -135,7 +135,10 @@ let test_image_roundtrip () =
   Alcotest.(check bool) "targets" true
     (img.Program.target = img2.Program.target);
   (* and the decoded image still runs *)
-  let m = Machine.create ~config:Machine.baseline_config ~globals:"" img2 in
+  let m =
+    Machine.create ~config:Machine.baseline_config ~globals:Hb_mem.Globals.empty
+      img2
+  in
   match Machine.run m with
   | Machine.Exited 0 -> ()
   | st -> Alcotest.failf "decoded image: %s" (Machine.status_name st)

@@ -126,12 +126,6 @@ let test_page_accounting () =
   Alcotest.(check int) "reads touch pages too" 1
     (Physmem.pages_touched_in m Layout.Globals)
 
-let test_bulk_helpers () =
-  let m = Physmem.create () in
-  Physmem.write_bytes m 0x100000 "hello world";
-  Alcotest.(check string) "string round trip" "hello world"
-    (Physmem.read_string m 0x100000 11)
-
 let test_invalid_addresses () =
   let m = Physmem.create () in
   (match Physmem.read_u8 m 0x10 with
@@ -387,7 +381,6 @@ let () =
           tc "page-crossing access" test_physmem_page_cross;
           tc "bit fields" test_physmem_bits;
           tc "page accounting" test_page_accounting;
-          tc "bulk helpers" test_bulk_helpers;
           tc "invalid addresses" test_invalid_addresses;
           tc "peeks create nothing" test_peek_creates_nothing;
           QCheck_alcotest.to_alcotest prop_u32_roundtrip;
