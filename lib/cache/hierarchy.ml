@@ -110,26 +110,25 @@ let stats_of t = function
   | Base_bound -> t.bb_stats
   | Tag_meta -> t.tag_stats
 
-(* Unchecked: every offset used is inside [ways] by construction. *)
+(* Unchecked: every offset used is inside its chunk by construction. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* The set walk lives in this unit, not in [Sa_cache] or [Tlb]: dune's
    dev profile compiles every unit with -opaque, so a call into either
    could not be inlined, and every simulated access walks two or three
-   sets.  [Sa_cache] keeps the storage and writes a set on its first
-   touch.
+   sets.  [Sa_cache] keeps the storage and allocates a chunk of sets on
+   its first touch.
 
-   One access to [block] in its filled [set]: on a hit refresh the way's
-   stamp, on a miss install the block over the LRU way (the first way
-   with the smallest stamp).  The ways are walked by byte offset, and
-   tags and stamps compared as unboxed [int64]s. *)
-let[@inline] lookup (c : Sa_cache.t) block set =
+   One access to [block] in [set], whose chunk [ways] is filled: on a hit
+   refresh the way's stamp, on a miss install the block over the LRU way
+   (the first way with the smallest stamp).  The ways are walked by byte
+   offset, and tags and stamps compared as unboxed [int64]s. *)
+let[@inline] lookup (c : Sa_cache.t) ways block set =
   c.clock <- c.clock + 1;
   c.accesses <- c.accesses + 1;
   let tag = Int64.of_int (block lsr c.set_bits) in
-  let ways = c.ways in
-  let first = (set * c.assoc) lsl 4 in
+  let first = ((set land (Sa_cache.chunk_sets - 1)) * c.assoc) lsl 4 in
   let limit = first + (c.assoc lsl 4) in
   let off = ref first in
   while !off < limit && get64 ways !off <> tag do
@@ -152,17 +151,17 @@ let[@inline] lookup (c : Sa_cache.t) block set =
     false
   end
 
-(* A set's first touch leaves the hot path by a tail call, so that path
+(* A chunk's first touch leaves the hot path by a tail call, so that path
    keeps nothing live across a call. *)
 let[@inline never] first_touch c block set =
-  Sa_cache.fill c set;
-  lookup c block set
+  lookup c (Sa_cache.fill c set) block set
 
 let[@inline] cache_access (c : Sa_cache.t) addr =
   let block = addr lsr c.block_bits in
   let set = block land ((1 lsl c.set_bits) - 1) in
-  if Bytes.unsafe_get c.filled set = '\000' then first_touch c block set
-  else lookup c block set
+  let ways = Array.unsafe_get c.chunks (set lsr Sa_cache.chunk_bits) in
+  if Bytes.length ways = 0 then first_touch c block set
+  else lookup c ways block set
 
 let[@inline] tlb_access (tlb : Tlb.t) addr =
   cache_access tlb.cache (addr lsr tlb.page_bits)

@@ -9,14 +9,22 @@ type t = {
   block_bits : int;
   set_bits : int;
   assoc : int;
-  ways : Bytes.t;
-  filled : Bytes.t;
-      (** per-way tag and LRU stamp, valid only in sets whose fill byte is
-          set; read them with {!tag} and {!stamp} *)
+  chunks : Bytes.t array;
+      (** per-way tag and LRU stamp, 16 bytes a way, in chunks of
+          {!chunk_sets} sets (one chunk for a smaller cache): chunk [k]
+          holds sets [k * chunk_sets] onwards, and is [Bytes.empty] until
+          {!fill} allocates it on its first touch.  Read the slots with
+          {!tag} and {!stamp}. *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
 }
+
+val chunk_bits : int
+(** Log2 of {!chunk_sets}. *)
+
+val chunk_sets : int
+(** Sets per chunk: 16, so a 4-way chunk is 1KB, a minor-heap block. *)
 
 val log2 : int -> int
 (** Exact log2 of a power of two; raises [Invalid_argument] otherwise. *)
@@ -27,9 +35,10 @@ val create : name:string -> size_bytes:int -> assoc:int -> block_bytes:int -> t
 
 val num_sets : t -> int
 
-val fill : t -> int -> unit
-(** [fill t set] writes set [set]'s way slots (tags -1, stamps 0) and
-    marks it filled: the set walk calls it on the set's first touch. *)
+val fill : t -> int -> Bytes.t
+(** [fill t set] allocates the chunk holding set [set], writes its way
+    slots (tags -1, stamps 0), stores it in {!field-chunks} and returns it:
+    the set walk calls it on the chunk's first touch. *)
 
 val probe : t -> int -> bool
 (** Non-allocating residency check (tests/introspection). *)
@@ -44,6 +53,8 @@ val stamp : t -> int -> int
 
 val reset_stats : t -> unit
 val flush : t -> unit
+(** Return every chunk to unfilled and the LRU clock to 0: every way
+    reads as invalid with stamp 0 again. *)
 
 val export : t -> Hb_obs.Metrics.t -> unit
 (** Report accesses/misses into a metrics registry as

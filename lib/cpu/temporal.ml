@@ -22,10 +22,13 @@ let kind_name = function
 
 type t = {
   state : (int, word_state) Hashtbl.t; (* word index -> state *)
-  mutable ever_allocated : (int, unit) Hashtbl.t;
+  ever_allocated : (int, unit) Hashtbl.t;
 }
 
-let create () = { state = Hashtbl.create 1024; ever_allocated = Hashtbl.create 1024 }
+(* Every machine creates the tables, but only temporal and tripwire runs
+   fill them, so they start small (minor-heap blocks) and grow; nothing
+   iterates them, so their size changes no result. *)
+let create () = { state = Hashtbl.create 16; ever_allocated = Hashtbl.create 16 }
 
 let word_of addr = addr lsr 2
 

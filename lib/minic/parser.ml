@@ -90,28 +90,27 @@ let parse_abstract_ty p =
 
 (* ---- expressions ------------------------------------------------------ *)
 
-(* Binary operator [s] at precedence level [level] (0 lowest, 9
-   highest), if it is one there. *)
-let binop level s =
-  match (level, s) with
-  | 0, "||" -> Some Lor
-  | 1, "&&" -> Some Land
-  | 2, "|" -> Some Bor
-  | 3, "^" -> Some Bxor
-  | 4, "&" -> Some Band
-  | 5, "==" -> Some Eq
-  | 5, "!=" -> Some Ne
-  | 6, "<" -> Some Lt
-  | 6, "<=" -> Some Le
-  | 6, ">" -> Some Gt
-  | 6, ">=" -> Some Ge
-  | 7, "<<" -> Some Shl
-  | 7, ">>" -> Some Shr
-  | 8, "+" -> Some Add
-  | 8, "-" -> Some Sub
-  | 9, "*" -> Some Mul
-  | 9, "/" -> Some Div
-  | 9, "%" -> Some Mod
+(* Binary operator [s]'s precedence level (0 lowest, 9 highest) and
+   constructor, if it is one.  Every level associates to the left. *)
+let binop = function
+  | "||" -> Some (0, Lor)
+  | "&&" -> Some (1, Land)
+  | "|" -> Some (2, Bor)
+  | "^" -> Some (3, Bxor)
+  | "&" -> Some (4, Band)
+  | "==" -> Some (5, Eq)
+  | "!=" -> Some (5, Ne)
+  | "<" -> Some (6, Lt)
+  | "<=" -> Some (6, Le)
+  | ">" -> Some (6, Gt)
+  | ">=" -> Some (6, Ge)
+  | "<<" -> Some (7, Shl)
+  | ">>" -> Some (7, Shr)
+  | "+" -> Some (8, Add)
+  | "-" -> Some (8, Sub)
+  | "*" -> Some (9, Mul)
+  | "/" -> Some (9, Div)
+  | "%" -> Some (9, Mod)
   | _ -> None
 
 let rec parse_expr p = parse_assign p
@@ -147,21 +146,20 @@ and parse_cond p =
   end
   else c
 
-and parse_binary p level =
-  if level > 9 then parse_unary p
-  else begin
-    let rec more lhs =
-      match peek p with
-      | Lexer.PUNCT s -> (
-        match binop level s with
-        | Some op ->
-          junk p;
-          more (Ebinop (op, lhs, parse_binary p (level + 1)))
-        | None -> lhs)
-      | _ -> lhs
-    in
-    more (parse_binary p (level + 1))
-  end
+(* Precedence climbing: one operand, then each binary operator at
+   [level] or above, its right operand parsed one level above the
+   operator's own, so equal levels associate to the left. *)
+and parse_binary p level = climb p level (parse_unary p)
+
+and climb p level lhs =
+  match peek p with
+  | Lexer.PUNCT s -> (
+    match binop s with
+    | Some (l, op) when l >= level ->
+      junk p;
+      climb p level (Ebinop (op, lhs, parse_binary p (l + 1)))
+    | _ -> lhs)
+  | _ -> lhs
 
 and parse_unary p =
   match peek p with

@@ -83,6 +83,35 @@ let test_cache_unfilled_sets () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "slot past the last set"
 
+(* [flush] returns every chunk to unfilled; the first touch after it
+   writes a fresh chunk whose other ways read tags -1 and stamps 0. *)
+let test_cache_flush_chunks () =
+  (* 2-way, 64 sets of 32B: four chunks of 16 sets *)
+  let c = Sa_cache.create ~name:"t" ~size_bytes:4096 ~assoc:2 ~block_bytes:32 in
+  let filled () =
+    Array.fold_left
+      (fun n b -> if Bytes.length b > 0 then n + 1 else n)
+      0 c.Sa_cache.chunks
+  in
+  Alcotest.(check int) "chunks" 4 (Array.length c.Sa_cache.chunks);
+  Alcotest.(check int) "fresh" 0 (filled ());
+  (* sets 0, 17 and 63, in chunks 0, 1 and 3, twice each *)
+  List.iter
+    (fun a -> ignore (access c a); ignore (access c (a + 0x800)))
+    [ 0x000; 0x220; 0x7E0 ];
+  Alcotest.(check int) "touched chunks" 3 (filled ());
+  Sa_cache.flush c;
+  Alcotest.(check int) "flushed" 0 (filled ());
+  Alcotest.(check int) "clock" 0 c.Sa_cache.clock;
+  (* 0x1220 is block 145: set 17, tag 2, in chunk 1 *)
+  Alcotest.(check bool) "first touch misses" false (access c 0x1220);
+  Alcotest.(check int) "one chunk" 1 (filled ());
+  for i = 0 to (Sa_cache.num_sets c * 2) - 1 do
+    let tag, stamp = if i = 34 then (2, 1) else (-1, 0) in
+    Alcotest.(check (pair int int)) (Printf.sprintf "slot %d" i) (tag, stamp)
+      (Sa_cache.tag c i, Sa_cache.stamp c i)
+  done
+
 let test_tlb () =
   let t = Tlb.create ~name:"t" ~entries:4 ~assoc:2 ~page_bytes:4096 in
   Alcotest.(check bool) "cold" false (tlb_access t 0x100000);
@@ -101,6 +130,23 @@ let test_hierarchy_params () =
   Alcotest.(check int) "L2 4MB" (4 * 1024 * 1024) p1.Hierarchy.l2_size;
   Alcotest.(check int) "L1 penalty" 12 p1.Hierarchy.l1_miss_penalty;
   Alcotest.(check int) "L2 penalty" 200 p1.Hierarchy.l2_miss_penalty
+
+(* Creating the paper's hierarchy allocates its chunk tables, not the
+   4MB L2's 2MB of way slots: those come a chunk at a time, on first
+   touch. *)
+let test_hierarchy_create_is_small () =
+  (* OCaml 5 adds minor-heap words to [Gc.allocated_bytes] at a minor
+     collection: start from an empty minor heap, so one falling inside
+     [create] counts only [create]'s words *)
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  let h = Hierarchy.create (Hierarchy.default_params ~tag_bits:4) in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated < 64KB" bytes)
+    true (bytes < 65536.);
+  Alcotest.(check int) "L2 chunk table" 2048
+    (Array.length h.Hierarchy.l2.Sa_cache.chunks)
 
 let test_hierarchy_stalls () =
   let h = Hierarchy.create (Hierarchy.default_params ~tag_bits:1) in
@@ -241,10 +287,11 @@ let ops_arb span =
     ~print:(fun ops -> String.concat "; " (List.map show_op ops))
     (list_size (int_range 1 400) op)
 
-(* geometries: 2-way, 4-way, direct-mapped, fully associative, and the
-   TLB's 1-byte blocks *)
+(* geometries: 2-way, 4-way, direct-mapped, fully associative, the
+   TLB's 1-byte blocks, and caches of two and eight chunks *)
 let geometries =
-  [ (1024, 2, 32); (256, 4, 32); (128, 1, 32); (128, 4, 32); (64, 4, 1) ]
+  [ (1024, 2, 32); (256, 4, 32); (128, 1, 32); (128, 4, 32); (64, 4, 1);
+    (4096, 4, 32); (8192, 2, 32) ]
 
 let prop_cache_matches_reference (size_bytes, assoc, block_bytes) =
   QCheck.Test.make
@@ -325,6 +372,7 @@ let () =
           tc "validation" test_cache_validation;
           tc "flush/reset" test_cache_flush_reset;
           tc "unfilled sets" test_cache_unfilled_sets;
+          tc "flush empties every chunk" test_cache_flush_chunks;
         ]
         @ List.map
             (fun g ->
@@ -339,6 +387,7 @@ let () =
       ( "hierarchy",
         [
           tc "paper parameters" test_hierarchy_params;
+          tc "creation allocates under 64KB" test_hierarchy_create_is_small;
           tc "stall composition" test_hierarchy_stalls;
           tc "access classes" test_hierarchy_classes;
           QCheck_alcotest.to_alcotest prop_stall_values;

@@ -399,6 +399,40 @@ let test_campaign_report_pin () =
     ]
     (List.map digest Hardbound.Encoding.all_schemes)
 
+(* CI's smoke campaign, [hardbound_run --workload power --inject all:0:7
+   --campaign 50], on the configuration the CLI builds for it: HardBound
+   mode, extern-4, the default fuel and checkpoints, the abort policy
+   and the policy's default violation budget.  CI also runs the CLI
+   twice and [cmp]s the reports. *)
+let test_campaign_cli_smoke () =
+  let image, globals =
+    Build.compile ~mode:Codegen.Hardbound
+      (Hb_workloads.Workloads.find "power").Hb_workloads.Workloads.source
+  in
+  let config =
+    Build.config_for ~scheme:Hardbound.Encoding.Extern4 ~temporal:false
+      ~max_instrs:Build.default_fuel Codegen.Hardbound
+  in
+  let spec = Injector.spec_of_string "all:0:7" in
+  let cfg =
+    { Campaign.default with
+      Campaign.label = "power";
+      runs = 50;
+      seed = spec.Injector.seed;
+      sites = spec.Injector.sites;
+      policy = Hb_recover.Policy.Abort;
+      violation_budget = Hb_recover.Policy.default.Hb_recover.Policy.violation_budget }
+  in
+  let mk () = Machine.create ~config ~globals image in
+  let r = Campaign.run ~mk cfg in
+  Alcotest.(check int) "run records" 50 (List.length r.Campaign.records);
+  (* every run lands in exactly one taxonomy bucket *)
+  Alcotest.(check int) "buckets sum to the runs" 50
+    (List.fold_left (fun n o -> n + Campaign.count r None o) 0 Outcome.all);
+  (* pinned for workload=power, sites=all, seed=7, 50 runs: re-pin
+     deliberately if the injector or planner changes *)
+  Alcotest.(check int) "detected" 5 (Campaign.count r None Outcome.Detected)
+
 let () =
   Alcotest.run "fault"
     [
@@ -440,5 +474,7 @@ let () =
             test_campaign_report_pin;
           Alcotest.test_case "config validation" `Quick
             test_config_validation;
+          Alcotest.test_case "CLI smoke campaign: 50 runs, 5 detected" `Quick
+            test_campaign_cli_smoke;
         ] );
     ]

@@ -654,6 +654,85 @@ let test_lexer_table () =
       ("\n\n2.0E+;", [ "3: error: malformed number literal 2.0E+" ]);
     ]
 
+(* ---- expression parsing ------------------------------------------------ *)
+
+(* The expression [src], parsed as the operand of a [return]. *)
+let parse_expr src =
+  match Hb_minic.Parser.parse_tunit ("int f() { return " ^ src ^ "; }") with
+  | [ Hb_minic.Ast.Dfun { fbody = [ Sline _; Sreturn (Some e) ]; _ } ] -> e
+  | _ -> Alcotest.failf "%s: not one return statement" src
+
+(* [src] parses to the tree of [grouped], the same expression with its
+   grouping spelled out in parentheses, which add no node. *)
+let check_grouping (src, grouped) =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s = %s" src grouped)
+    true
+    (parse_expr src = parse_expr grouped)
+
+(* C's binary operators by precedence level, lowest first; every level
+   associates to the left. *)
+let binop_levels =
+  [
+    [ "||" ]; [ "&&" ]; [ "|" ]; [ "^" ]; [ "&" ]; [ "=="; "!=" ];
+    [ "<"; "<="; ">"; ">=" ]; [ "<<"; ">>" ]; [ "+"; "-" ]; [ "*"; "/"; "%" ];
+  ]
+
+(* [a op1 b op2 c] for every ordered pair of the 18 binary operators
+   groups as the level table says: the higher level binds tighter, and
+   at equal levels the left operator does.  Unary, cast, postfix, call,
+   [?:] and assignment forms keep their places around binary
+   operators. *)
+let test_binary_precedence () =
+  let ops =
+    List.concat
+      (List.mapi (fun l ops -> List.map (fun op -> (op, l)) ops) binop_levels)
+  in
+  Alcotest.(check int) "binary operators" 18 (List.length ops);
+  List.iter
+    (fun (o1, l1) ->
+      List.iter
+        (fun (o2, l2) ->
+          check_grouping
+            ( Printf.sprintf "a %s b %s c" o1 o2,
+              if l1 >= l2 then Printf.sprintf "(a %s b) %s c" o1 o2
+              else Printf.sprintf "a %s (b %s c)" o1 o2 ))
+        ops)
+    ops;
+  List.iter check_grouping
+    [
+      ("a + b * c - d / e", "(a + (b * c)) - (d / e)");
+      ( "a || b && c | d ^ e & f == g < h << i + j * k",
+        "a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k)))))))))" );
+      ("-a * b", "(-a) * b");
+      ("a * -b", "a * (-b)");
+      ("!a && ~b", "(!a) && (~b)");
+      ("*p + *q * 2", "(*p) + ((*q) * 2)");
+      ("&a[1] - b", "(&(a[1])) - b");
+      ("(int)a * b", "((int)a) * b");
+      ("(char*)p + 1", "((char*)p) + 1");
+      ("sizeof(int) * n", "(sizeof(int)) * n");
+      ("a[i] + s.f * p->g", "(a[i]) + ((s.f) * (p->g))");
+      ("a++ + b", "(a++) + b");
+      ("a - --b", "a - (--b)");
+      ("f(a + b, c) * d", "(f((a + b), c)) * d");
+      ("a || b ? c + d : e - f", "(a || b) ? (c + d) : (e - f)");
+      ("a ? b : c ? d : e", "a ? b : (c ? d : e)");
+      ("a < b ? c = d : e", "(a < b) ? (c = d) : e");
+      ("a = b + c * d", "a = (b + (c * d))");
+      ("a = b = c", "a = (b = c)");
+      ("a += b << c", "a = a + (b << c)");
+      ("a -= b ? c : d", "a = a - (b ? c : d)");
+      ("a >>= b & c | d", "a = a >> ((b & c) | d)");
+      ("*p %= q[1] * 3", "*p = (*p) % ((q[1]) * 3)");
+    ];
+  (* a missing operand is reported at the line of the token found instead *)
+  match parse_expr "a +\n ;" with
+  | exception Hb_minic.Parser.Parse_error (line, msg) ->
+    Alcotest.(check (pair int string)) "missing operand"
+      (2, "unexpected token ';'") (line, msg)
+  | _ -> Alcotest.fail "missing operand parsed"
+
 (* One MD5 over every violation-corpus program (HardBound) and every
    Olden program (all five modes) as [Build.compile] returns it: the linked
    image with its fn and line maps, and the globals region rendered as the
@@ -751,6 +830,7 @@ let () =
       ( "front end",
         [
           tc "lexer table" test_lexer_table;
+          tc "binary precedence" test_binary_precedence;
           Alcotest.test_case "compiler output pin" `Slow
             test_compiler_output_pin;
         ] );
