@@ -77,7 +77,7 @@ let snapshot w =
          ("at_ns", Json.Int (Int64.to_int (Clock.now_ns ())));
          ("completed", Json.Int w.w_completed);
          ("rss_kb", Json.Int (Host.peak_rss_kb ()));
-         ("gc", gc_json w.w_profile.Host.root.Host.g0 (Gc.quick_stat ()));
+         ("gc", gc_json w.w_profile.Host.root.Host.g0 (Host.gc_stat ()));
          ("metrics", Metrics.snapshot w.w_reg);
          ("profile", Host.to_json w.w_profile);
        ])

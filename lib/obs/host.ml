@@ -5,9 +5,9 @@
     (metrics, attr, timeline, traps); this module instruments the host
     simulator itself.  A profile is a tree of spans (compile → load →
     warmup → run → report, nested freely) measured against the monotonic
-    {!Clock}; each span also records the [Gc.quick_stat] delta it
-    covered, and may be annotated with simulated-progress counters
-    (instructions, cycles, runs) so throughput gauges can be derived.
+    {!Clock}; each span also records the {!gc_stat} delta it covered,
+    and may be annotated with simulated-progress counters (instructions,
+    cycles, runs) so throughput gauges can be derived.
 
     The same accounting discipline the simulated side enjoys applies
     here: in a well-formed profile the summed wall time of any span's
@@ -40,6 +40,11 @@ let gc_zero =
     compactions = 0;
   }
 
+(* [Gc.quick_stat]'s [minor_words] advances only at a minor collection
+   under OCaml 5, so a span inside one collection cycle would read 0;
+   [Gc.minor_words] also counts the words allocated since. *)
+let gc_stat () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
+
 let gc_delta (a : Gc.stat) (b : Gc.stat) =
   {
     minor_words = b.Gc.minor_words -. a.Gc.minor_words;
@@ -53,7 +58,7 @@ let gc_delta (a : Gc.stat) (b : Gc.stat) =
 type span = {
   sp_name : string;
   start_ns : int64;  (* absolute monotonic *)
-  g0 : Gc.stat;      (* quick_stat at entry *)
+  g0 : Gc.stat;      (* gc_stat at entry *)
   mutable wall_ns : int64;  (* -1L while the span is open *)
   mutable gc : gc_delta;    (* filled at close *)
   mutable counts : (string * int) list;  (* annotations, newest first *)
@@ -81,7 +86,7 @@ let open_ name =
   {
     sp_name = name;
     start_ns = Clock.now_ns ();
-    g0 = Gc.quick_stat ();
+    g0 = gc_stat ();
     wall_ns = -1L;
     gc = gc_zero;
     counts = [];
@@ -96,7 +101,7 @@ let is_open sp = Int64.equal sp.wall_ns (-1L)
 
 let close_span_record sp =
   sp.wall_ns <- Int64.sub (Clock.now_ns ()) sp.start_ns;
-  sp.gc <- gc_delta sp.g0 (Gc.quick_stat ())
+  sp.gc <- gc_delta sp.g0 (gc_stat ())
 
 let open_span t name =
   let sp = open_ name in
@@ -152,7 +157,7 @@ let peak_rss_kb () =
         go ())
 
 let sample ?(counts = []) t =
-  let g = Gc.quick_stat () in
+  let g = gc_stat () in
   t.samples_rev <-
     {
       at_ns = Int64.sub (Clock.now_ns ()) t.t0;
@@ -358,7 +363,7 @@ let export t reg =
   List.iter
     (fun sp -> phase sp sp.sp_name)
     (List.rev t.root.children_rev);
-  let g = gc_delta t.root.g0 (Gc.quick_stat ()) in
+  let g = gc_delta t.root.g0 (gc_stat ()) in
   let gi f = int_of_float f in
   Metrics.set_counter reg "hb_host.gc_minor_words" (gi g.minor_words);
   Metrics.set_counter reg "hb_host.gc_major_words" (gi g.major_words);

@@ -2,7 +2,7 @@
     GC/RSS telemetry.
 
     A profile is a tree of spans measured against the monotonic {!Clock};
-    each span carries the [Gc.quick_stat] delta it covered and optional
+    each span carries the {!gc_stat} delta it covered and optional
     simulated-progress annotations from which throughput gauges derive.
     In a well-formed profile the summed wall time of a span's children
     never exceeds the parent's ({!check}).  All data here is
@@ -18,6 +18,11 @@ type gc_delta = {
   major_gcs : int;
   compactions : int;
 }
+
+val gc_stat : unit -> Gc.stat
+(** [Gc.quick_stat] with a precise [minor_words] ([Gc.minor_words]):
+    the words allocated so far, not only those of finished minor
+    collections. *)
 
 type span = {
   sp_name : string;

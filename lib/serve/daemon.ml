@@ -12,8 +12,8 @@
       the same spec (cmp-enforced in CI);
     - the scheduler holds one mutex for queue + worker state; HTTP
       handlers take the same mutex, and neither ever blocks on a worker
-      (children are reaped with the non-blocking [Worker.poll], stuck
-      ones SIGKILLed by the watchdog). *)
+      (the process pool, {!Hb_shard.Pool}, reaps children without
+      blocking and SIGKILLs stuck ones). *)
 
 module Json = Hb_obs.Json
 module Clock = Hb_obs.Clock
@@ -23,9 +23,8 @@ module Journal = Hb_recover.Journal
 module Deadline = Hb_recover.Deadline
 module Interrupt = Hb_recover.Interrupt
 module Campaign = Hb_fault.Campaign
-module Supervisor = Hb_shard.Supervisor
 module Shard = Hb_shard.Shard
-module Worker = Hb_shard.Worker
+module Pool = Hb_shard.Pool
 module Machine = Hb_cpu.Machine
 module Build = Hb_runtime.Build
 module Codegen = Hb_minic.Codegen
@@ -40,8 +39,6 @@ type config = {
   backoff_cap_s : float;
   watchdog_grace_s : float;
   poll_interval_s : float;
-  read_timeout_s : float;
-  max_request : int;
   log : (string -> unit) option;
 }
 
@@ -56,19 +53,15 @@ let default ~port ~dir =
     backoff_cap_s = 5.;
     watchdog_grace_s = 5.;
     poll_interval_s = 0.05;
-    read_timeout_s = 5.;
-    max_request = 65536;
     log = None;
   }
-
-type running = { job : Queue.job; pid : int; kill_after_ns : int64 }
 
 type t = {
   cfg : config;
   q : Queue.t;
   mutable server : Serve.t option;
   mu : Mutex.t;
-  mutable running : running list;
+  pool : Queue.job Pool.t;  (* the running attempts *)
   mutable level : Admission.level;
   mutable stopping : bool;
   mutable disk_failing : bool;
@@ -120,25 +113,23 @@ let write_file_atomic path s =
 (* ------------------------------------------------------------------ *)
 (* Worker child                                                        *)
 
-(* The child exits with the shard worker's protocol ({!Worker}): ok,
-   typed error (terminal — retrying a bad spec cannot help), resumable
-   partial (job deadline expired between runs), anything else a crash the
-   scheduler retries. *)
-let child_run t (job : Queue.job) ~attempt ~image ~globals =
+(* The child's exit class: ok, typed error (terminal — retrying a bad
+   spec cannot help), resumable partial (job deadline expired between
+   runs), anything else a crash the scheduler retries. *)
+let child_run t (job : Queue.job) ~image ~globals () =
   (match t.server with
   | Some s -> ( try Unix.close (Serve.listen_fd s) with _ -> ())
   | None -> ());
   let spec = job.Queue.spec in
-  let code =
+  match spec.Proto.chaos with
+  | Some (Proto.Crash k) when job.Queue.attempts <= k -> Pool.Crashed "chaos"
+  | chaos -> (
     try
-      (match spec.Proto.chaos with
-      | Some Proto.Hang ->
+      if chaos = Some Proto.Hang then
         (* never journals a byte: only the watchdog can end this *)
         while true do
           Unix.sleepf 3600.
-        done
-      | Some (Proto.Crash k) when attempt <= k -> Unix._exit Worker.exit_crash
-      | _ -> ());
+        done;
       let config =
         Build.config_for ~scheme:spec.Proto.scheme ~temporal:false
           ~max_instrs:Build.default_fuel spec.Proto.mode
@@ -161,99 +152,75 @@ let child_run t (job : Queue.job) ~attempt ~image ~globals =
       let report =
         if spec.Proto.jobs > 1 then
           Shard.run ?journal ?resume ~deadline
-            ~cfg:{ Supervisor.default with Supervisor.jobs = spec.Proto.jobs }
+            ~cfg:{ Shard.default with jobs = spec.Proto.jobs }
             ~mk ccfg
         else Campaign.run ?journal ?resume ~deadline ~mk ccfg
       in
       write_file_atomic (report_path t job)
         (Json.to_string_pretty (Campaign.to_json report) ^ "\n");
-      if report.Campaign.deadline_expired then Worker.exit_partial
-      else Worker.exit_ok
+      if report.Campaign.deadline_expired then Pool.Partial else Pool.Ok
     with
     | Hb_error.Hb_error (ctx, msg) ->
       (try
          write_file_atomic (error_path t job) (Hb_error.to_string (ctx, msg))
        with _ -> ());
-      Worker.exit_error
+      Pool.Error
     | e ->
       (try write_file_atomic (error_path t job) (Printexc.to_string e)
        with _ -> ());
-      Worker.exit_crash
-  in
-  Unix._exit code
+      Pool.Crashed (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler (runs under t.mu)                                         *)
 
 let retry_or_poison t (job : Queue.job) reason =
-  if job.Queue.attempts >= t.cfg.max_attempts then begin
+  match Pool.retry t.pool ~attempt:job.Queue.attempts with
+  | None ->
     let reason =
       Printf.sprintf "%s (attempt budget %d spent)" reason t.cfg.max_attempts
     in
     logf t "[serve] job j%d poisoned: %s" job.Queue.id reason;
     Queue.mark_poisoned t.q job ~reason
-  end
-  else begin
-    (* the supervisor's tested pure schedule, with the daemon's base/cap *)
-    let b =
-      Supervisor.backoff ~base_s:t.cfg.backoff_base_s
-        ~cap_s:t.cfg.backoff_cap_s ~restart:job.Queue.attempts
-    in
+  | Some b ->
     logf t "[serve] job j%d requeued (%s); attempt %d/%d, backoff %.2fs"
       job.Queue.id reason job.Queue.attempts t.cfg.max_attempts b;
     Queue.mark_requeue t.q job ~backoff_s:b ~reason
       ~not_before_ns:(Int64.add (Clock.now_ns ()) (Clock.ns_of_s b))
-  end
 
+(* One pass over the attempts the pool reports ended: exited on their
+   own, or SIGKILLed past their deadline plus the watchdog grace. *)
 let reap t =
-  t.running <-
-    List.filter
-      (fun r ->
-        match Worker.poll r.pid with
-        | None -> true
-        | Some Worker.Ok ->
-          if Sys.file_exists (report_path t r.job) then begin
-            logf t "[serve] job j%d done (attempt %d)" r.job.Queue.id
-              r.job.Queue.attempts;
-            Queue.mark_done t.q r.job
-          end
-          else retry_or_poison t r.job "worker exited 0 without a report";
-          false
-        | Some Worker.Error ->
-          let msg =
-            match read_file (error_path t r.job) with
-            | s -> s
-            | exception Sys_error _ ->
-              "worker failed with a typed error before it could be recorded"
-          in
-          logf t "[serve] job j%d failed: %s" r.job.Queue.id msg;
-          Queue.mark_failed t.q r.job ~error:msg;
-          false
-        | Some Worker.Partial ->
-          retry_or_poison t r.job
-            "job deadline expired (resumable prefix journaled)";
-          false
-        | Some (Worker.Crashed reason) ->
-          retry_or_poison t r.job ("worker " ^ reason);
-          false)
-      t.running
-
-let watchdog t =
-  let now = Clock.now_ns () in
-  t.running <-
-    List.filter
-      (fun r ->
-        if now >= r.kill_after_ns then begin
-          logf t
-            "[serve] watchdog: job j%d pid %d stuck past its deadline; \
-             SIGKILL"
-            r.job.Queue.id r.pid;
-          Supervisor.sigkill r.pid;
-          retry_or_poison t r.job "stuck past its deadline (watchdog SIGKILL)";
-          false
+  List.iter
+    (fun ((job : Queue.job), pid, ending) ->
+      match ending with
+      | Pool.Exited Pool.Ok ->
+        if Sys.file_exists (report_path t job) then begin
+          logf t "[serve] job j%d done (attempt %d)" job.Queue.id
+            job.Queue.attempts;
+          Queue.mark_done t.q job
         end
-        else true)
-      t.running
+        else retry_or_poison t job "worker exited 0 without a report"
+      | Pool.Exited Pool.Error ->
+        let msg =
+          match read_file (error_path t job) with
+          | s -> s
+          | exception Sys_error _ ->
+            "worker failed with a typed error before it could be recorded"
+        in
+        logf t "[serve] job j%d failed: %s" job.Queue.id msg;
+        Queue.mark_failed t.q job ~error:msg
+      | Pool.Exited Pool.Partial ->
+        retry_or_poison t job
+          "job deadline expired (resumable prefix journaled)"
+      | Pool.Exited (Pool.Crashed reason) ->
+        retry_or_poison t job ("worker " ^ reason)
+      | Pool.Hung _ ->
+        logf t
+          "[serve] watchdog: job j%d pid %d stuck past its deadline; \
+           SIGKILL"
+          job.Queue.id pid;
+        retry_or_poison t job "stuck past its deadline (watchdog SIGKILL)")
+    (Pool.poll t.pool)
 
 let image_for t (spec : Proto.spec) =
   let key = (spec.Proto.workload, Codegen.mode_name spec.Proto.mode) in
@@ -271,44 +238,31 @@ let spawn t (job : Queue.job) =
     Queue.mark_failed t.q job
       ~error:(Printf.sprintf "workload failed to compile: %s"
                 (Printexc.to_string e))
-  | image, globals ->
-    Queue.mark_start t.q job ~pid:0;
-    let attempt = job.Queue.attempts in
+  | image, globals -> (
+    Queue.mark_start t.q job;
     let deadline_s =
       Option.value job.Queue.spec.Proto.deadline_s
         ~default:t.cfg.job_deadline_s
     in
-    flush stdout;
-    flush stderr;
-    (match Unix.fork () with
-    | exception Unix.Unix_error (err, _, _) ->
-      (* mark_start already journaled the attempt; a swallowed fork
-         failure (e.g. EAGAIN) would strand the job Running-but-untracked
-         until a restart replays the journal — requeue it with backoff so
-         it stays schedulable in this daemon's lifetime *)
-      retry_or_poison t job
-        (Printf.sprintf "fork failed: %s" (Unix.error_message err))
-    | 0 -> child_run t job ~attempt ~image ~globals
-    | pid ->
+    match
+      Pool.spawn t.pool job
+        ~timeout_s:(deadline_s +. t.cfg.watchdog_grace_s)
+        (child_run t job ~image ~globals)
+    with
+    | Ok pid ->
       logf t "[serve] job j%d pid %d spawned (attempt %d/%d)" job.Queue.id
-        pid attempt t.cfg.max_attempts;
-      job.Queue.state <- Queue.Running pid;
-      t.running <-
-        {
-          job;
-          pid;
-          kill_after_ns =
-            Int64.add (Clock.now_ns ())
-              (Clock.ns_of_s (deadline_s +. t.cfg.watchdog_grace_s));
-        }
-        :: t.running)
+        pid job.Queue.attempts t.cfg.max_attempts
+    | Error why ->
+      (* mark_start already journaled the attempt: requeue it with
+         backoff so it stays schedulable in this daemon's lifetime *)
+      retry_or_poison t job why)
 
 let schedule t =
   let target =
     if t.stopping then 0 else Admission.workers_for t.cfg.admission t.level
   in
   let continue = ref true in
-  while !continue && List.length t.running < target do
+  while !continue && List.length (Pool.live t.pool) < target do
     match Queue.next_eligible t.q ~now_ns:(Clock.now_ns ()) with
     | Some job -> spawn t job
     | None -> continue := false
@@ -316,7 +270,6 @@ let schedule t =
 
 let tick t ~probe_now =
   reap t;
-  watchdog t;
   if probe_now then begin
     let level =
       Admission.probe t.cfg.admission ~rss_kb:(Admission.rss_kb ())
@@ -542,7 +495,7 @@ let metrics t () =
       List.iter
         (fun (j : Queue.job) ->
           match j.Queue.state with
-          | Queue.Queued | Queue.Running _ ->
+          | Queue.Queued | Queue.Running ->
             Hashtbl.replace tenants j.Queue.tenant
               (1
               + Option.value
@@ -593,7 +546,9 @@ let start cfg =
       q = Queue.open_ ~dir:cfg.dir;
       server = None;
       mu = Mutex.create ();
-      running = [];
+      pool =
+        Pool.create ~attempts:cfg.max_attempts
+          ~backoff_base_s:cfg.backoff_base_s ~backoff_cap_s:cfg.backoff_cap_s;
       level = Admission.Normal;
       stopping = false;
       disk_failing = false;
@@ -605,8 +560,7 @@ let start cfg =
   in
   let server =
     try
-      Serve.start ~port:cfg.port ~read_timeout_s:cfg.read_timeout_s
-        ~max_request:cfg.max_request ~handler:(handler t)
+      Serve.start ~port:cfg.port ~handler:(handler t)
         ~metrics:(metrics t) ~progress:(progress t) ()
     with e ->
       Queue.close t.q;
@@ -641,17 +595,16 @@ let stop ?(hard = false) t =
   | Some th -> ( try Thread.join th with _ -> ())
   | None -> ());
   t.scheduler <- None;
-  List.iter (fun r -> Supervisor.sigkill r.pid) t.running;
+  let killed = Pool.kill_all t.pool in
   if not hard then
     (* journal the requeue so a clean shutdown's jobs restart without
        relying on crash replay; a hard stop journals nothing on purpose
        (it simulates SIGKILL for the crash-resilience tests) *)
     List.iter
-      (fun r ->
-        Queue.mark_requeue t.q r.job ~reason:"daemon stopping"
+      (fun (job, _) ->
+        Queue.mark_requeue t.q job ~reason:"daemon stopping"
           ~not_before_ns:0L)
-      t.running;
-  t.running <- [];
+      killed;
   (match t.server with Some s -> Serve.stop s | None -> ());
   t.server <- None;
   Queue.close t.q
@@ -664,7 +617,7 @@ let run cfg =
     else if
       t.stopping
       && (Mutex.lock t.mu;
-          let idle = t.running = [] in
+          let idle = Pool.live t.pool = [] in
           Mutex.unlock t.mu;
           idle)
     then ()

@@ -30,8 +30,6 @@ type config = {
       (** SIGKILL a worker this long after its deadline should have made
           it exit on its own *)
   poll_interval_s : float;
-  read_timeout_s : float;  (** per-connection HTTP read timeout *)
-  max_request : int;  (** HTTP request size bound *)
   log : (string -> unit) option;
 }
 

@@ -13,14 +13,14 @@ module Journal = Hb_recover.Journal
 
 type state =
   | Queued
-  | Running of int
+  | Running
   | Done
   | Poisoned of string
   | Failed of string
 
 let state_name = function
   | Queued -> "queued"
-  | Running _ -> "running"
+  | Running -> "running"
   | Done -> "done"
   | Poisoned _ -> "poisoned"
   | Failed _ -> "failed"
@@ -107,7 +107,7 @@ let replay t path j =
   | Some "start" ->
     let job = require t path (int_field path j "job") in
     job.attempts <- int_field path j "attempt";
-    job.state <- Running 0
+    job.state <- Running
   | Some "requeue" ->
     let job = require t path (int_field path j "job") in
     job.state <- Queued;
@@ -179,11 +179,11 @@ let open_ ~dir =
     (match records with
     | [] -> fail "%s exists but holds no complete records" journal_path
     | _ :: rest -> List.iter (replay t journal_path) rest);
-    (* pids do not survive the daemon: whatever was running when it
-       died is re-admitted, attempts intact *)
+    (* workers do not survive the daemon: whatever was running when
+       it died is re-admitted, attempts intact *)
     Hashtbl.iter
       (fun _ job ->
-        match job.state with Running _ -> job.state <- Queued | _ -> ())
+        match job.state with Running -> job.state <- Queued | _ -> ())
       t.jobs;
     t.writer <- Some (Journal.append_to journal_path)
   end
@@ -281,7 +281,7 @@ let next_eligible t ~now_ns =
     | None -> ());
     best
 
-let mark_start t job ~pid =
+let mark_start t job =
   job.attempts <- job.attempts + 1;
   append t
     (Json.Obj
@@ -290,7 +290,7 @@ let mark_start t job ~pid =
          ("job", Json.Int job.id);
          ("attempt", Json.Int job.attempts);
        ]);
-  job.state <- Running pid
+  job.state <- Running
 
 let mark_requeue t ?(backoff_s = 0.) job ~reason ~not_before_ns =
   append t
@@ -337,7 +337,7 @@ let counts t =
     (fun _ j (q, r, d, p, f) ->
       match j.state with
       | Queued -> (q + 1, r, d, p, f)
-      | Running _ -> (q, r + 1, d, p, f)
+      | Running -> (q, r + 1, d, p, f)
       | Done -> (q, r, d + 1, p, f)
       | Poisoned _ -> (q, r, d, p + 1, f)
       | Failed _ -> (q, r, d, p, f + 1))
@@ -347,7 +347,7 @@ let tenant_queued t tenant =
   Hashtbl.fold
     (fun _ j acc ->
       match j.state with
-      | (Queued | Running _) when j.tenant = tenant -> acc + 1
+      | (Queued | Running) when j.tenant = tenant -> acc + 1
       | _ -> acc)
     t.jobs 0
 

@@ -15,7 +15,7 @@ module Json := Hb_obs.Json
 
 type state =
   | Queued
-  | Running of int  (** worker pid (0 after a replay: pids do not survive) *)
+  | Running
   | Done
   | Poisoned of string  (** retry budget spent; reason *)
   | Failed of string  (** typed error; retrying cannot help *)
@@ -68,7 +68,7 @@ val next_eligible : t -> now_ns:int64 -> job option
     jobs still inside their backoff window ([not_before_ns] in the
     future). *)
 
-val mark_start : t -> job -> pid:int -> unit
+val mark_start : t -> job -> unit
 (** Journal the start of the next attempt ([attempts] increments). *)
 
 val mark_requeue :

@@ -24,14 +24,13 @@ module Fleet = Hb_obs.Fleet
 
 let remove_if_exists path = if Sys.file_exists path then Sys.remove path
 
+let default = Supervisor.default
+
 let run ?journal ?resume ?(deadline = Deadline.none) ?progress
-    ?(cfg = Supervisor.default) ?(fleet = Fleet.disabled) ~mk
+    ?(cfg = default) ?(fleet = Fleet.disabled) ~mk
     (ccfg : Campaign.config) : Campaign.report =
   Partition.validate ~jobs:cfg.Supervisor.jobs;
   let jobs = cfg.Supervisor.jobs in
-  let cfg =
-    if Fleet.active fleet then { cfg with Supervisor.fleet = true } else cfg
-  in
   if journal <> None && resume <> None then
     Hb_error.fail ~component:"shard"
       "--journal and --resume are exclusive (a resumed campaign appends to \

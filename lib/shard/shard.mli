@@ -8,6 +8,10 @@
 
 module Campaign := Hb_fault.Campaign
 
+val default : Supervisor.config
+(** {!Supervisor.default}, the supervision settings [run] uses unless
+    given [cfg]. *)
+
 val run :
   ?journal:string ->
   ?resume:string ->
@@ -19,7 +23,7 @@ val run :
   Campaign.config ->
   Campaign.report
 (** Execute the campaign across [cfg.jobs] worker processes (default
-    {!Supervisor.default}).  [journal]/[resume] mirror the serial
+    {!default}).  [journal]/[resume] mirror the serial
     runner: shard files live at [base.shardK]; on completion the merged
     serial-format journal is written at [base], so any later [--resume]
     reconstructs with zero execution.  Killing any subset of workers (or

@@ -1,15 +1,14 @@
-(** Worker supervision: fork, watch, kill, respawn, degrade.
+(** Worker supervision: respawn, degrade, escalate.
 
-    The parent forks one {!Worker.child} per shard, then polls: reaping
-    exits ({!Worker.poll}), watching liveness (a worker's shard
-    journal must keep growing — every run appends, and heartbeats cover
-    the gaps), SIGKILLing anything silent past the heartbeat timeout,
-    and respawning dead workers with exponential backoff.  A respawned
-    worker re-reads its own journal and replays the acknowledged prefix,
-    so no run is ever executed twice.  When a shard exhausts its respawn
-    budget the parent adopts the slice and runs it inline — graceful
-    degradation to fewer workers.  A worker that dies with a *typed*
-    error (exit code {!Worker.exit_error}) ends the campaign: retrying a
+    The parent runs one {!Worker} per shard through a {!Pool},
+    which reaps exits and SIGKILLs any worker whose shard journal stops
+    growing (every run appends, and heartbeats cover the gaps) for the
+    heartbeat timeout; dead workers respawn after the pool's backoff.  A
+    respawned worker re-reads its own journal and replays the
+    acknowledged prefix, so no run is ever executed twice.  When a shard
+    exhausts its respawn budget the parent adopts the slice and runs it
+    inline — graceful degradation to fewer workers.  A worker that dies
+    with a *typed* error ({!Pool.Error}) ends the campaign: retrying a
     config mismatch or corrupt journal cannot succeed, so the supervisor
     kills the remaining workers and escalates the journaled message as
     an [Hb_error] carrying a resume hint. *)
@@ -17,6 +16,7 @@
 module Campaign = Hb_fault.Campaign
 module Outcome = Hb_fault.Outcome
 module Deadline = Hb_recover.Deadline
+module Journal = Hb_recover.Journal
 module Interrupt = Hb_recover.Interrupt
 module Clock = Hb_obs.Clock
 module Progress = Hb_obs.Progress
@@ -30,13 +30,9 @@ type config = {
       (* shard-journal silence after which a worker counts as hung *)
   backoff_base_s : float;
   backoff_cap_s : float;
-  poll_interval_s : float;
   log : (string -> unit) option;
       (* supervision events ("worker 2 pid 1234 spawned", ...); the CLI
          wires stderr, tests capture, default drops *)
-  fleet : bool;
-      (* workers append telemetry sidecars and lifecycle moments are
-         recorded as fleet events; read-only w.r.t. journals/reports *)
 }
 
 let default =
@@ -46,35 +42,13 @@ let default =
     heartbeat_timeout_s = 60.;
     backoff_base_s = 0.25;
     backoff_cap_s = 5.;
-    poll_interval_s = 0.05;
     log = None;
-    fleet = false;
   }
 
-(** The respawn backoff schedule as a pure function: delay before
-    respawn attempt [restart] (1-based).  Exponential doubling from
-    [base_s], clamped at [cap_s] — deterministic,
-    monotone non-decreasing, and bounded, so a crash-looping worker can
-    never stampede the host, and tests can pin the exact schedule. *)
-let backoff ~base_s ~cap_s ~restart =
-  if restart <= 0 then 0.
-  else Float.min cap_s (base_s *. (2. ** float_of_int (restart - 1)))
-
-let backoff_s (scfg : config) ~restart =
-  backoff ~base_s:scfg.backoff_base_s ~cap_s:scfg.backoff_cap_s ~restart
-
-(** The full schedule a shard walks before its respawn budget is spent:
-    [[backoff_s ~restart:1; ...; backoff_s ~restart:max_worker_restarts]]. *)
-let backoff_schedule (scfg : config) =
-  List.init (max 0 scfg.max_worker_restarts) (fun i ->
-      backoff_s scfg ~restart:(i + 1))
+let poll_interval_s = 0.05
 
 type state =
-  | Running of {
-      pid : int;
-      mutable last_size : int;
-      mutable last_beat_ns : int64;
-    }
+  | Running  (* in the pool, which holds its pid and liveness *)
   | Waiting of { at_ns : int64 }  (* backoff before the next respawn *)
   | Done
   | Partial  (* deadline expired before the slice completed *)
@@ -91,12 +65,7 @@ type slot = {
 
 let terminal = function
   | Done | Partial | Exhausted | Failed _ -> true
-  | Running _ | Waiting _ -> false
-
-let shard_size path =
-  match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error (_, _, _) -> 0
+  | Running | Waiting _ -> false
 
 let logf scfg fmt =
   Printf.ksprintf
@@ -106,67 +75,76 @@ let logf scfg fmt =
 let set_row_state slot s =
   match slot.row with None -> () | Some r -> r.Progress.state <- s
 
-let spawn scfg ~mk ~cfg ~golden ~deadline slot =
-  (* the child inherits the parent's stdio buffers but [_exit]s without
-     flushing them; flushing here keeps buffered parent output from
-     being lost to the fork entirely *)
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-    Worker.child ~mk ~cfg ~golden ~jobs:scfg.jobs ~shard:slot.shard
-      ~path:slot.path ~fleet:scfg.fleet ~deadline ()
-  | pid ->
+let set_row_pid slot pid =
+  match slot.row with Some r -> r.Progress.pid <- pid | None -> ()
+
+let respawn_or_exhaust scfg pool ~deadline slot why =
+  set_row_pid slot None;
+  if Deadline.expired deadline then begin
+    (* the worker would only exit partial anyway *)
+    logf scfg "[shard] worker %d %s after deadline; marking partial"
+      slot.shard why;
+    slot.state <- Partial;
+    set_row_state slot "partial"
+  end
+  else
+    match Pool.retry pool ~attempt:(slot.restarts + 1) with
+    | None ->
+      logf scfg
+        "[shard] worker %d %s; respawn budget (%d) exhausted, parent will \
+         adopt the slice"
+        slot.shard why scfg.max_worker_restarts;
+      Fleet.event ~kind:"exhaust" ~shard:slot.shard why;
+      slot.state <- Exhausted;
+      set_row_state slot "exhausted"
+    | Some backoff -> (
+      slot.restarts <- slot.restarts + 1;
+      logf scfg "[shard] worker %d %s; respawn %d/%d in %.2fs" slot.shard why
+        slot.restarts scfg.max_worker_restarts backoff;
+      slot.state <-
+        Waiting { at_ns = Int64.add (Clock.now_ns ()) (Clock.ns_of_s backoff) };
+      set_row_state slot "respawning";
+      match slot.row with
+      | Some r -> r.Progress.restarts <- slot.restarts
+      | None -> ())
+
+let spawn scfg pool ~mk ~cfg ~golden ~deadline slot =
+  (* the forked worker's only output channels are its shard journal and
+     its exit class *)
+  let child () =
+    match
+      Worker.run_inline ~mk ~cfg ~golden ~jobs:scfg.jobs ~shard:slot.shard
+        ~path:slot.path ~fleet:(Fleet.installed ()) ~deadline ()
+    with
+    | report ->
+      if report.Campaign.deadline_expired then Pool.Partial else Pool.Ok
+    | exception Hb_error.Hb_error (ctx, msg) ->
+      (* best effort: leave the typed error in the journal, where
+         [journaled_error] reads it back *)
+      (try
+         let w = Journal.append_to slot.path in
+         Journal.append w
+           (Merge.error_json ~shard:slot.shard
+              ~msg:(Hb_error.to_string (ctx, msg)));
+         Journal.close w
+       with _ -> ());
+      Pool.Error
+  in
+  match
+    Pool.spawn pool slot ~watch:slot.path ~timeout_s:scfg.heartbeat_timeout_s
+      child
+  with
+  | Ok pid ->
     logf scfg "[shard] worker %d pid %d spawned (attempt %d)" slot.shard pid
       (slot.restarts + 1);
     Fleet.event
       ~kind:(if slot.restarts = 0 then "spawn" else "respawn")
       ~shard:slot.shard ~pid
       (Printf.sprintf "attempt %d" (slot.restarts + 1));
-    slot.state <-
-      Running
-        {
-          pid;
-          last_size = shard_size slot.path;
-          last_beat_ns = Clock.now_ns ();
-        };
+    slot.state <- Running;
     set_row_state slot "running";
-    (match slot.row with
-    | Some r -> r.Progress.pid <- Some pid
-    | None -> ())
-
-let respawn_or_exhaust scfg ~deadline slot why =
-  (match slot.row with
-  | Some r -> r.Progress.pid <- None
-  | None -> ());
-  if Deadline.expired deadline then begin
-    (* the worker would only exit [exit_partial] anyway *)
-    logf scfg "[shard] worker %d %s after deadline; marking partial"
-      slot.shard why;
-    slot.state <- Partial;
-    set_row_state slot "partial"
-  end
-  else if slot.restarts >= scfg.max_worker_restarts then begin
-    logf scfg
-      "[shard] worker %d %s; respawn budget (%d) exhausted, parent will \
-       adopt the slice"
-      slot.shard why scfg.max_worker_restarts;
-    Fleet.event ~kind:"exhaust" ~shard:slot.shard why;
-    slot.state <- Exhausted;
-    set_row_state slot "exhausted"
-  end
-  else begin
-    slot.restarts <- slot.restarts + 1;
-    let backoff = backoff_s scfg ~restart:slot.restarts in
-    logf scfg "[shard] worker %d %s; respawn %d/%d in %.2fs" slot.shard why
-      slot.restarts scfg.max_worker_restarts backoff;
-    slot.state <-
-      Waiting { at_ns = Int64.add (Clock.now_ns ()) (Clock.ns_of_s backoff) };
-    set_row_state slot "respawning";
-    match slot.row with
-    | Some r -> r.Progress.restarts <- slot.restarts
-    | None -> ()
-  end
+    set_row_pid slot (Some pid)
+  | Error why -> respawn_or_exhaust scfg pool ~deadline slot why
 
 (* Recover the journaled shard-error message for a worker that exited
    with the typed-error code; tolerate an unreadable journal (the error
@@ -180,63 +158,38 @@ let journaled_error ~(ccfg : Campaign.config) ~jobs slot =
     Printf.sprintf "worker %d failed with a typed error before it could be \
                     journaled" slot.shard
 
-let sigkill pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-  let rec reap () =
-    match Unix.waitpid [] pid with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-    | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  reap ()
-
-let check scfg ~mk ~cfg ~golden ~deadline slot =
+let wake scfg pool ~mk ~cfg ~golden ~deadline slot =
   match slot.state with
-  | Done | Partial | Exhausted | Failed _ -> ()
   | Waiting { at_ns } ->
     if Deadline.expired deadline then begin
       slot.state <- Partial;
       set_row_state slot "partial"
     end
     else if Clock.now_ns () >= at_ns then
-      spawn scfg ~mk ~cfg ~golden ~deadline slot
-  | Running r -> (
-    match Worker.poll r.pid with
-    | None ->
-      (* alive: liveness = the shard journal keeps growing (every run
-         record and heartbeat appends bytes) *)
-      let size = shard_size slot.path in
-      if size > r.last_size then begin
-        r.last_size <- size;
-        r.last_beat_ns <- Clock.now_ns ()
-      end
-      else begin
-        let silent = Clock.elapsed_s ~t0:r.last_beat_ns in
-        (match slot.row with
-        | Some row -> row.Progress.beat_age_s <- silent
-        | None -> ());
-        if silent > scfg.heartbeat_timeout_s then begin
-          logf scfg "[shard] worker %d pid %d silent for %.1fs; killing"
-            slot.shard r.pid silent;
-          Fleet.event ~kind:"watchdog_kill" ~shard:slot.shard ~pid:r.pid
-            (Printf.sprintf "silent %.1fs" silent);
-          sigkill r.pid;
-          respawn_or_exhaust scfg ~deadline slot "hung (watchdog)"
-        end
-      end
-    | Some Worker.Ok ->
-      logf scfg "[shard] worker %d pid %d done" slot.shard r.pid;
-      slot.state <- Done;
-      set_row_state slot "done";
-      (match slot.row with None -> () | Some row -> row.Progress.pid <- None)
-    | Some Worker.Partial ->
-      slot.state <- Partial;
-      set_row_state slot "partial"
-    | Some Worker.Error ->
-      slot.state <- Failed (journaled_error ~ccfg:cfg ~jobs:scfg.jobs slot);
-      set_row_state slot "failed"
-    | Some (Worker.Crashed reason) ->
-      respawn_or_exhaust scfg ~deadline slot reason)
+      spawn scfg pool ~mk ~cfg ~golden ~deadline slot
+  | Running | Done | Partial | Exhausted | Failed _ -> ()
+
+let ended scfg pool ~cfg ~deadline (slot, pid, ending) =
+  match ending with
+  | Pool.Hung silent ->
+    logf scfg "[shard] worker %d pid %d silent for %.1fs; killed" slot.shard
+      pid silent;
+    Fleet.event ~kind:"watchdog_kill" ~shard:slot.shard ~pid
+      (Printf.sprintf "silent %.1fs" silent);
+    respawn_or_exhaust scfg pool ~deadline slot "hung (watchdog)"
+  | Pool.Exited Pool.Ok ->
+    logf scfg "[shard] worker %d pid %d done" slot.shard pid;
+    slot.state <- Done;
+    set_row_state slot "done";
+    set_row_pid slot None
+  | Pool.Exited Pool.Partial ->
+    slot.state <- Partial;
+    set_row_state slot "partial"
+  | Pool.Exited Pool.Error ->
+    slot.state <- Failed (journaled_error ~ccfg:cfg ~jobs:scfg.jobs slot);
+    set_row_state slot "failed"
+  | Pool.Exited (Pool.Crashed reason) ->
+    respawn_or_exhaust scfg pool ~deadline slot reason
 
 (* Refresh the shared progress tracker from the shard journals: per-slot
    completion counts and the global outcome tally.  Read-only and
@@ -302,70 +255,70 @@ let run ~mk ~(cfg : Campaign.config) ~golden ~base
   List.iter
     (fun (r : Campaign.record) -> Hashtbl.replace seen r.Campaign.idx ())
     extra;
+  let pool =
+    Pool.create
+      ~attempts:(scfg.max_worker_restarts + 1)
+      ~backoff_base_s:scfg.backoff_base_s ~backoff_cap_s:scfg.backoff_cap_s
+  in
   let polls = ref 0 in
-  (* Graceful SIGTERM/SIGINT: kill the running workers (their journals
-     keep the acknowledged prefix and stay resumable) and mark every
+  (* the killed workers' journals keep the acknowledged prefix and stay
+     resumable *)
+  let kill_all ~kind why =
+    List.iter
+      (fun (s, pid) ->
+        logf scfg "[shard] killed worker %d pid %d (%s)" s.shard pid why;
+        Fleet.event ~kind ~shard:s.shard ~pid why)
+      (Pool.kill_all pool)
+  in
+  (* Graceful SIGTERM/SIGINT: kill the running workers and mark every
      live slot partial, exactly as a deadline expiry would. *)
   let interrupt_sweep () =
+    logf scfg "[shard] interrupt (%s)" (Interrupt.signal_name ());
+    kill_all ~kind:"interrupt_kill" "shutdown requested";
     List.iter
       (fun s ->
         match s.state with
-        | Running r ->
-          logf scfg "[shard] interrupt (%s): killing worker %d pid %d"
-            (Interrupt.signal_name ()) s.shard r.pid;
-          Fleet.event ~kind:"interrupt_kill" ~shard:s.shard ~pid:r.pid
-            "shutdown requested";
-          sigkill r.pid;
-          s.state <- Partial;
-          set_row_state s "partial"
-        | Waiting _ | Exhausted ->
+        | Running | Waiting _ | Exhausted ->
           s.state <- Partial;
           set_row_state s "partial"
         | Done | Partial | Failed _ -> ())
       slots
   in
   let rec loop () =
-    if List.for_all (fun s -> terminal s.state) slots then ()
-    else begin
-      if Interrupt.requested () then interrupt_sweep ();
-      List.iter (check scfg ~mk ~cfg ~golden ~deadline) slots;
-      (* escalate a typed worker failure immediately: kill the survivors
-         (their journals stay resumable) and surface the message *)
-      (match
-         List.find_opt
-           (fun s -> match s.state with Failed _ -> true | _ -> false)
-           slots
-       with
-      | Some failed ->
-        let msg =
-          match failed.state with Failed m -> m | _ -> assert false
-        in
-        List.iter
-          (fun s ->
-            match s.state with
-            | Running r ->
-              logf scfg "[shard] killing worker %d pid %d (campaign failed)"
-                s.shard r.pid;
-              Fleet.event ~kind:"kill" ~shard:s.shard ~pid:r.pid
-                "campaign failed";
-              sigkill r.pid
-            | _ -> ())
-          slots;
-        Hb_error.fail ~component:"shard"
-          "worker %d failed: %s — completed records are journaled in \
-           %s.shard*; fix the cause and re-run with --resume %s"
-          failed.shard msg base base
-      | None -> ());
-      incr polls;
-      if !polls mod 20 = 0 then
-        refresh_progress ~ccfg:cfg ~jobs:scfg.jobs ~seen progress slots;
-      if not (List.for_all (fun s -> terminal s.state) slots) then begin
-        Unix.sleepf scfg.poll_interval_s;
-        loop ()
-      end
+    if Interrupt.requested () then interrupt_sweep ();
+    List.iter (ended scfg pool ~cfg ~deadline) (Pool.poll pool);
+    List.iter (wake scfg pool ~mk ~cfg ~golden ~deadline) slots;
+    List.iter
+      (fun (s, silent) ->
+        match s.row with
+        | Some row -> row.Progress.beat_age_s <- silent
+        | None -> ())
+      (Pool.live pool);
+    (* escalate a typed worker failure immediately: kill the survivors
+       and surface the message *)
+    (match
+       List.find_map
+         (fun s -> match s.state with Failed m -> Some (s, m) | _ -> None)
+         slots
+     with
+    | Some (failed, msg) ->
+      kill_all ~kind:"kill" "campaign failed";
+      Hb_error.fail ~component:"shard"
+        "worker %d failed: %s — completed records are journaled in \
+         %s.shard*; fix the cause and re-run with --resume %s"
+        failed.shard msg base base
+    | None -> ());
+    incr polls;
+    if !polls mod 20 = 0 then
+      refresh_progress ~ccfg:cfg ~jobs:scfg.jobs ~seen progress slots;
+    if not (List.for_all (fun s -> terminal s.state) slots) then begin
+      Unix.sleepf poll_interval_s;
+      loop ()
     end
   in
-  loop ();
+  (* whatever leaves the loop — an escalation, a raising log sink —
+     leaves no worker running behind it *)
+  Fun.protect ~finally:(fun () -> ignore (Pool.kill_all pool)) loop;
   (* graceful degradation: adopt every exhausted shard in the parent,
      replaying its journaled prefix and finishing the slice inline *)
   List.iter
@@ -378,7 +331,8 @@ let run ~mk ~(cfg : Campaign.config) ~golden ~base
         set_row_state slot "adopted";
         let report =
           Worker.run_inline ~mk ~cfg ~golden ~jobs:scfg.jobs
-            ~shard:slot.shard ~path:slot.path ~fleet:scfg.fleet ~deadline ()
+            ~shard:slot.shard ~path:slot.path ~fleet:(Fleet.installed ())
+            ~deadline ()
         in
         slot.state <-
           (if report.Campaign.deadline_expired then Partial else Done);

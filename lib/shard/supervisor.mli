@@ -1,7 +1,7 @@
-(** Worker supervision: fork one {!Worker.child} per shard, poll for
-    exits, watch shard-journal growth for liveness, SIGKILL hung
-    workers, respawn with exponential backoff, adopt exhausted shards
-    inline (degradation), and escalate typed worker errors. *)
+(** Worker supervision: run one {!Worker} per shard through a
+    {!Pool} (exits, shard-journal growth as liveness, SIGKILL of hung
+    workers, exponential backoff), respawn dead workers, adopt exhausted
+    shards inline (degradation), and escalate typed worker errors. *)
 
 module Campaign := Hb_fault.Campaign
 
@@ -13,36 +13,13 @@ type config = {
       (** shard-journal silence after which a worker counts as hung *)
   backoff_base_s : float;
   backoff_cap_s : float;
-  poll_interval_s : float;
   log : (string -> unit) option;
       (** supervision event sink (spawn/kill/respawn/adopt lines) *)
-  fleet : bool;
-      (** workers append {!Hb_obs.Fleet} telemetry sidecars, and
-          lifecycle moments (spawn/respawn/watchdog-kill/adopt) are
-          recorded as fleet events; read-only w.r.t. journals and
-          reports *)
 }
 
 val default : config
 (** 2 jobs, 3 restarts, 60 s heartbeat timeout, 0.25 s–5 s backoff,
-    50 ms poll, no log, fleet off. *)
-
-val backoff : base_s:float -> cap_s:float -> restart:int -> float
-(** Pure respawn backoff schedule: the delay before respawn attempt
-    [restart] (1-based) — [base_s] doubled per attempt, clamped at
-    [cap_s].  Deterministic, monotone non-decreasing, and bounded;
-    [restart <= 0] is 0.  The daemon retries jobs on it too. *)
-
-val backoff_s : config -> restart:int -> float
-(** {!backoff} with the config's [backoff_base_s] and [backoff_cap_s]. *)
-
-val backoff_schedule : config -> float list
-(** The delays a shard walks through its whole respawn budget:
-    [List.init max_worker_restarts (fun i -> backoff_s ~restart:(i+1))]. *)
-
-val sigkill : int -> unit
-(** SIGKILL a child and reap it (retrying [waitpid] on EINTR); a child
-    that is already gone is not an error. *)
+    no log.  The pool is polled every 50 ms. *)
 
 val run :
   mk:(unit -> Hb_cpu.Machine.t) ->
@@ -60,4 +37,7 @@ val run :
     partial base journal's prior records (counted as completed, never
     re-supervised).  Raises {!Hb_error.Hb_error} if a worker reports a
     typed error — the remaining workers are SIGKILLed first and the
-    message carries a [--resume] hint. *)
+    message carries a [--resume] hint.  Any exception that leaves [run]
+    first SIGKILLs and reaps every live worker.  While an
+    {!Hb_obs.Fleet} collector is installed, workers append telemetry
+    sidecars and lifecycle moments are recorded as fleet events. *)

@@ -4,34 +4,16 @@
     The worker is resumable at any byte: on (re)spawn it reads its shard
     journal back, treats the acknowledged prefix as prior records (never
     re-executing them), and picks up at the first missing index of its
-    slice.  [run_inline] is also what the parent calls directly when a
-    shard has exhausted its respawn budget — graceful degradation to
-    fewer workers reuses the identical code path. *)
+    slice.  A forked worker ({!Supervisor}) runs [run_inline], and so
+    does the parent when a shard has exhausted its respawn budget —
+    graceful degradation to fewer workers reuses the identical code
+    path. *)
 
 module Campaign = Hb_fault.Campaign
 module Outcome = Hb_fault.Outcome
 module Journal = Hb_recover.Journal
 module Deadline = Hb_recover.Deadline
 module Fleet = Hb_obs.Fleet
-
-(* Exit-code protocol, classified by [poll]. *)
-let exit_ok = 0
-let exit_partial = 4 (* wall-clock deadline expired; slice incomplete *)
-let exit_error = 3 (* typed Hb_error; journaled as a shard-error record *)
-let exit_crash = 5 (* anything else; respawn may help *)
-
-type exit = Ok | Partial | Error | Crashed of string
-
-let poll pid =
-  match Unix.waitpid [ Unix.WNOHANG ] pid with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-  | 0, _ | _, Unix.WSTOPPED _ -> None
-  | _, Unix.WEXITED c when c = exit_ok -> Some Ok
-  | _, Unix.WEXITED c when c = exit_partial -> Some Partial
-  | _, Unix.WEXITED c when c = exit_error -> Some Error
-  | _, Unix.WEXITED c -> Some (Crashed (Printf.sprintf "exited with code %d" c))
-  | _, Unix.WSIGNALED sg ->
-    Some (Crashed (Printf.sprintf "killed by signal %d" sg))
 
 let run_inline ~mk ~(cfg : Campaign.config) ~golden ~jobs ~shard ~path
     ?(fleet = false) ?(deadline = Deadline.none) () : Campaign.report =
@@ -100,28 +82,3 @@ let run_inline ~mk ~(cfg : Campaign.config) ~golden ~jobs ~shard ~path
       in
       Journal.append writer marker;
       report)
-
-(* The forked child's whole life.  [Unix._exit] always: the child must
-   not run the parent's [at_exit] hooks (host-span dumps, stdio flush of
-   buffers it inherited) — its only output channel is the shard journal
-   and its exit code. *)
-let child ~mk ~cfg ~golden ~jobs ~shard ~path ?fleet ?deadline () : 'a =
-  let code =
-    match
-      run_inline ~mk ~cfg ~golden ~jobs ~shard ~path ?fleet ?deadline ()
-    with
-    | report ->
-      if report.Campaign.deadline_expired then exit_partial else exit_ok
-    | exception Hb_error.Hb_error (ctx, msg) ->
-      (* best effort: leave the typed error in the journal so the
-         supervisor can surface it verbatim *)
-      (try
-         let w = Journal.append_to path in
-         Journal.append w
-           (Merge.error_json ~shard ~msg:(Hb_error.to_string (ctx, msg)));
-         Journal.close w
-       with _ -> ());
-      exit_error
-    | exception _ -> exit_crash
-  in
-  Unix._exit code

@@ -1,7 +1,8 @@
 # hardbound_run's flags that no other test sets, one case each on the
-# small cli_*.c programs beside this script.  Prints each case's stdout
-# (or the pinned lines of the file it writes) and its exit status;
-# test/dune diffs the result against cli_flags.expected.
+# small cli_*.c programs beside this script, and the four recovery
+# policies.  Prints each case's stdout (or the pinned lines of the file
+# it writes; a policy case's stderr too) and its exit status; test/dune
+# diffs the result against cli_flags.expected.
 #
 #   sh cli_flags.sh path/to/hardbound_run.exe
 run=$1
@@ -37,4 +38,19 @@ grep '"checkpoints"\|"checkpoint_interval"' "$tmp/c.json"
 
 echo "campaign 2 --campaign-checkpoints=-1:"
 "$run" cli_clean.c --campaign 2 --campaign-checkpoints=-1 2>&1 > /dev/null
+echo "exit $?"
+
+# recovery policies on a loop that reads three words past its object
+echo "out-of-bounds loop, default abort:"
+"$run" cli_oob_loop.c 2>&1
+echo "exit $?"
+
+for policy in report null-guard rollback; do
+  echo "out-of-bounds loop --on-violation $policy:"
+  "$run" cli_oob_loop.c --on-violation $policy 2>&1
+  echo "exit $?"
+done
+
+echo "out-of-bounds loop --on-violation report --violation-budget 2:"
+"$run" cli_oob_loop.c --on-violation report --violation-budget 2 2>&1
 echo "exit $?"

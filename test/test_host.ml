@@ -119,6 +119,26 @@ let test_span_closes_on_raise () =
       (Int64.compare sp.Host.wall_ns 0L >= 0)
   | _ -> Alcotest.fail "expected exactly one child"
 
+(* A span's minor words are the words allocated inside it, whether or
+   not a minor collection fell there: 15 blocks of 200 words (header
+   included) read as 3,000 plus the profiler's own few words. *)
+let test_span_minor_words_precise () =
+  let t = Host.create () in
+  let sink = ref [||] in
+  Host.with_span t "alloc" (fun () ->
+      for _ = 1 to 15 do
+        sink := Sys.opaque_identity (Array.make 199 0)
+      done);
+  Host.finish t;
+  match t.Host.root.Host.children_rev with
+  | [ sp ] ->
+    let w = sp.Host.gc.Host.minor_words in
+    Alcotest.(check bool)
+      (Printf.sprintf "3000 <= minor words (%.0f) < 3200" w)
+      true
+      (w >= 3000. && w < 3200.)
+  | _ -> Alcotest.fail "expected exactly one child"
+
 (* ---- sinks ------------------------------------------------------------ *)
 
 let test_sinks_parse_back () =
@@ -424,6 +444,8 @@ let () =
           tc "doctored child-sum rejected" test_doctored_sum_rejected;
           tc "open span flagged; close misuse typed" test_open_span_is_an_error;
           tc "span closes when the body raises" test_span_closes_on_raise;
+          tc "minor words counted between collections"
+            test_span_minor_words_precise;
           tc "JSON + chrome sinks parse back" test_sinks_parse_back;
           tc "ambient profiler + hb_host_* export" test_ambient_and_export;
         ] );

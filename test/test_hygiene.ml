@@ -46,6 +46,10 @@ let clock_consumers =
        restart time — the same host-scheduling decision as the daemon's
        gate, persisted; it never touches simulated state *)
     "queue.ml";
+    (* the process pool's liveness rule: a child silent past its
+       timeout is SIGKILLed — a wall-clock decision about host
+       processes, like the supervisor's and the daemon's gates *)
+    "pool.ml";
   ]
 
 let read_file path =

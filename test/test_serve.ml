@@ -164,9 +164,9 @@ let test_queue_replay () =
     Queue.submit q ~spec:{ small_spec with Proto.tenant = "other" }
   in
   let j3 = Queue.submit q ~spec:small_spec in
-  Queue.mark_start q j1 ~pid:111;
+  Queue.mark_start q j1;
   Queue.mark_done q j1;
-  Queue.mark_start q j2 ~pid:222;
+  Queue.mark_start q j2;
   (* j2 is running when the daemon "dies" — no close, like a SIGKILL *)
   ignore j3;
   let q' = Queue.open_ ~dir in
@@ -194,9 +194,9 @@ let test_queue_terminal_states () =
   let q = Queue.open_ ~dir in
   let j1 = Queue.submit q ~spec:small_spec in
   let j2 = Queue.submit q ~spec:small_spec in
-  Queue.mark_start q j1 ~pid:1;
+  Queue.mark_start q j1;
   Queue.mark_poisoned q j1 ~reason:"stuck";
-  Queue.mark_start q j2 ~pid:2;
+  Queue.mark_start q j2;
   Queue.mark_failed q j2 ~error:"unknown workload";
   let q' = Queue.open_ ~dir in
   let find id = Option.get (Queue.find q' id) in
@@ -222,7 +222,7 @@ let test_queue_torn_tail_every_byte () =
   let q = Queue.open_ ~dir in
   let j1 = Queue.submit q ~spec:small_spec in
   let _j2 = Queue.submit q ~spec:{ small_spec with Proto.tenant = "b" } in
-  Queue.mark_start q j1 ~pid:42;
+  Queue.mark_start q j1;
   Queue.close q;
   let journal = Filename.concat dir "queue.jsonl" in
   let full = read_file journal in
@@ -254,7 +254,7 @@ let test_queue_torn_tail_every_byte () =
        | Some j -> j.Queue.state = Queue.Queued && j.Queue.tenant = "b"
        | None -> false);
     (* the repaired journal must accept (and persist) new records *)
-    Queue.mark_start q' j1' ~pid:7;
+    Queue.mark_start q' j1';
     Queue.close q';
     let q'' = Queue.open_ ~dir in
     Alcotest.(check int)
@@ -295,7 +295,7 @@ let test_queue_fairness_and_backoff () =
     match Queue.next_eligible q ~now_ns:0L with
     | None -> Alcotest.fail "queue unexpectedly empty"
     | Some j ->
-      Queue.mark_start q j ~pid:1;
+      Queue.mark_start q j;
       Queue.mark_done q j;
       (j.Queue.tenant, j.Queue.id)
   in
@@ -312,7 +312,7 @@ let test_queue_fairness_and_backoff () =
     [ p1; p2; p3; p4 ];
   (* backoff gate: a requeued job is invisible until its not_before *)
   let j5 = Queue.submit q ~spec:(spec "a") in
-  Queue.mark_start q j5 ~pid:1;
+  Queue.mark_start q j5;
   Queue.mark_requeue q j5 ~reason:"crash" ~not_before_ns:1_000L;
   Alcotest.(check bool) "inside backoff window: ineligible" true
     (Queue.next_eligible q ~now_ns:999L = None);
@@ -496,7 +496,7 @@ let test_daemon_crash_restart_exactly_once () =
      killed, nothing journaled past the fsync'd acknowledgements *)
   await ~what:"a worker to start" (fun () ->
       List.exists
-        (fun j -> match j.Queue.state with Queue.Running _ -> true | _ -> false)
+        (fun j -> match j.Queue.state with Queue.Running -> true | _ -> false)
         (Queue.jobs (Daemon.queue d)));
   Daemon.stop ~hard:true d;
   let d' = Daemon.start (quick_cfg dir) in

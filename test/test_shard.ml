@@ -14,6 +14,7 @@ module Campaign = Hb_fault.Campaign
 module Partition = Hb_shard.Partition
 module Merge = Hb_shard.Merge
 module Supervisor = Hb_shard.Supervisor
+module Pool = Hb_shard.Pool
 module Shard = Hb_shard.Shard
 
 (* ---- fixtures ---------------------------------------------------------- *)
@@ -439,22 +440,20 @@ let test_journal_resume_exclusive () =
    | exception Hb_error.Hb_error _ -> ());
   cleanup ~base ~jobs:2
 
-(* Respawn backoff is a pure function of (config, restart ordinal):
+(* Respawn backoff is a pure function of (base, cap, restart ordinal):
    deterministic, monotone non-decreasing, and capped — and the cap must
    be reachable inside the restart budget, or it is dead configuration. *)
 let test_backoff_schedule () =
-  let scfg =
-    { Supervisor.default with
-      Supervisor.backoff_base_s = 0.25;
-      backoff_cap_s = 2.0;
-      max_worker_restarts = 8 }
+  let schedule ~base_s ~cap_s ~restarts =
+    List.init restarts (fun i -> Pool.backoff ~base_s ~cap_s ~restart:(i + 1))
   in
+  let base_s = 0.25 and cap_s = 2.0 in
   (* deterministic: same inputs, same delays *)
   Alcotest.(check (list (float 1e-9)))
     "pure function of the restart ordinal"
-    (Supervisor.backoff_schedule scfg)
-    (Supervisor.backoff_schedule scfg);
-  let sched = Supervisor.backoff_schedule scfg in
+    (schedule ~base_s ~cap_s ~restarts:8)
+    (schedule ~base_s ~cap_s ~restarts:8);
+  let sched = schedule ~base_s ~cap_s ~restarts:8 in
   Alcotest.(check int) "one delay per allowed restart" 8 (List.length sched);
   Alcotest.(check (list (float 1e-9)))
     "doubles from the base, then saturates at the cap"
@@ -468,20 +467,63 @@ let test_backoff_schedule () =
          d)
        0. sched);
   (* the cap is reached strictly before the budget poisons the shard *)
-  let hits_cap =
-    List.filteri (fun i d -> i < 7 && d >= scfg.Supervisor.backoff_cap_s) sched
-  in
+  let hits_cap = List.filteri (fun i d -> i < 7 && d >= cap_s) sched in
   Alcotest.(check bool) "cap reached before the restart budget" true
     (hits_cap <> []);
   (* restart 0 (first spawn) waits nothing; negatives are clamped *)
   Alcotest.(check (float 1e-9)) "no delay before the first spawn" 0.
-    (Supervisor.backoff_s scfg ~restart:0);
+    (Pool.backoff ~base_s ~cap_s ~restart:0);
   Alcotest.(check (float 1e-9)) "negative ordinal clamps to zero" 0.
-    (Supervisor.backoff_s scfg ~restart:(-3));
+    (Pool.backoff ~base_s ~cap_s ~restart:(-3));
   (* the stock config's schedule, pinned: a change must be deliberate *)
+  let d = Supervisor.default in
   Alcotest.(check (list (float 1e-9)))
     "default schedule" [ 0.25; 0.5; 1.0 ]
-    (Supervisor.backoff_schedule Supervisor.default)
+    (schedule ~base_s:d.Supervisor.backoff_base_s
+       ~cap_s:d.Supervisor.backoff_cap_s ~restarts:d.Supervisor.max_worker_restarts)
+
+(* An exception that leaves the supervisor — here the log sink raising
+   on the second "spawned" line — takes the workers with it: every pid
+   logged so far is SIGKILLed and reaped before the exception arrives. *)
+let test_escape_kills_workers () =
+  let mk = maker () in
+  let cfg = campaign_cfg ~runs:24 in
+  let base = temp_base () in
+  let pids = ref [] in
+  let log line =
+    match
+      Scanf.sscanf line "[shard] worker %d pid %d spawned" (fun _ pid -> pid)
+    with
+    | pid ->
+      pids := pid :: !pids;
+      if List.length !pids = 2 then failwith "log sink failed"
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
+  in
+  (match
+     Shard.run ~journal:base
+       ~cfg:{ (scfg ~jobs:2 ()) with Supervisor.log = Some log }
+       ~mk cfg
+   with
+   | _ -> Alcotest.fail "the log sink's exception must leave Shard.run"
+   | exception Failure msg ->
+     Alcotest.(check string) "the sink's own exception" "log sink failed" msg);
+  Alcotest.(check int) "two workers were logged" 2 (List.length !pids);
+  let alive =
+    List.filter
+      (fun pid ->
+        match Unix.kill pid 0 with
+        | () -> true
+        | exception Unix.Unix_error _ -> false)
+      !pids
+  in
+  (* leave nothing running, whatever the verdict *)
+  List.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    alive;
+  cleanup ~base ~jobs:2;
+  Alcotest.(check (list int)) "every logged worker is gone" [] alive
 
 let () =
   Alcotest.run "shard"
@@ -508,6 +550,8 @@ let () =
             test_heartbeat_only_torn_tail_resume;
           Alcotest.test_case "exhausted-adoption" `Slow
             test_exhausted_restarts_adopted;
+          Alcotest.test_case "escape-kills-workers" `Quick
+            test_escape_kills_workers;
         ] );
       ( "typed-failures",
         [
