@@ -1397,19 +1397,25 @@ let halt_of_exn m e =
   m.halted <- Some st;
   st
 
-(** Run to completion.  Exceptions raised by checks become statuses. *)
+(** The one stepping loop: step [m] until it halts or has retired [stop]
+    instructions (the count moves by 1 per [step]).  A failed check
+    raises out with the pc at the faulting instruction and [halted]
+    unset, so a trap supervisor can dispatch it and re-enter. *)
+let rec run_to m stop =
+  match m.halted with
+  | None when m.stats.instructions < stop ->
+    step m;
+    run_to m stop
+  | _ -> ()
+
+(** Run to completion, or to the fuel.  Exceptions raised by checks
+    become statuses. *)
 let run m =
-  let rec loop () =
-    match m.halted with
-    | Some st -> st
-    | None ->
-      if m.stats.instructions >= m.cfg.max_instrs then Out_of_fuel
-      else begin
-        step m;
-        loop ()
-      end
+  let st =
+    match run_to m m.cfg.max_instrs with
+    | () -> ( match m.halted with Some st -> st | None -> Out_of_fuel)
+    | exception e -> halt_of_exn m e
   in
-  let st = try loop () with e -> halt_of_exn m e in
   m.halted <- Some st;
   st
 

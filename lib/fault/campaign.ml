@@ -106,6 +106,55 @@ type golden = {
 
 let instrs_of m = m.Machine.stats.Stats.instructions
 
+(* Run [m] to a halt or to [limit], calling [at m] after each instruction
+   that retires normally (the halting one too) on the count [next n], the
+   first checkpoint above [n], asked at the start and after each [at].
+   [Machine.halt_of_exn] maps what the run raises and re-raises the rest
+   ([Converged]).  [None] when the limit stopped a runnable machine. *)
+let drive ~limit ~next ~at m =
+  let rec go () =
+    match m.Machine.halted with
+    | Some st -> Some st
+    | None ->
+      let n = instrs_of m in
+      if n >= limit then None
+      else begin
+        let c = next n in
+        Machine.run_to m (min c limit);
+        if instrs_of m = c then at m;
+        go ()
+      end
+  in
+  try go () with e -> Some (Machine.halt_of_exn m e)
+
+(* The first checkpoint count above [n]: a multiple of [interval] below
+   [instrs], the golden run's length. *)
+let next_checkpoint ~interval ~instrs n =
+  let c = ((n / interval) + 1) * interval in
+  if c < instrs then c else max_int
+
+(* An injected run's outcome, status and detection latency from how it
+   ended on [m] ([None]: at the watchdog limit), against the reference
+   run's exit code, output and digest. *)
+let verdict ~g_exit ~g_output ~g_digest ~diverged ~from m ended =
+  match ended with
+  | None ->
+    (Outcome.Hang, Printf.sprintf "hang(@%d instrs)" (instrs_of m), None)
+  | Some st -> (
+    let name = Machine.status_name st in
+    match st with
+    | Machine.Bounds_violation _ | Machine.Non_pointer_violation _
+    | Machine.Temporal_violation _ | Machine.Software_abort _ ->
+      (Outcome.Detected, name, Some (instrs_of m - from))
+    | Machine.Fault _ -> (Outcome.Crash, name, None)
+    | Machine.Out_of_fuel -> (Outcome.Hang, name, None)
+    | Machine.Exited n ->
+      if n <> g_exit || Machine.output m <> g_output then
+        (Outcome.Silent_corruption, name, None)
+      else if diverged <> None || Snapshot.digest m <> g_digest then
+        (Outcome.Divergence, name, None)
+      else (Outcome.Masked, name, None))
+
 (* Two passes: the first learns the instruction count (needed to place
    checkpoints), the second records a digest at each checkpoint. *)
 let golden_of ~(cfg : config) ~mk : golden =
@@ -126,16 +175,15 @@ let golden_of ~(cfg : config) ~mk : golden =
   let g_interval = max 1 (g_instrs / (cfg.checkpoints + 1)) in
   let g_digests = Hashtbl.create 64 in
   let m2 = mk () in
-  let record m =
-    let n = instrs_of m in
-    if n < g_instrs && n mod g_interval = 0 then
-      Hashtbl.replace g_digests n (Snapshot.digest m)
-  in
-  (match Watchdog.run ~on_step:record ~limit:(g_instrs + 1) m2 with
-  | Watchdog.Completed (Machine.Exited n) when n = g_exit -> ()
+  let record m = Hashtbl.replace g_digests (instrs_of m) (Snapshot.digest m) in
+  let next = next_checkpoint ~interval:g_interval ~instrs:g_instrs in
+  (match drive ~limit:(g_instrs + 1) ~next ~at:record m2 with
+  | Some (Machine.Exited n) when n = g_exit -> ()
   | r ->
     Hb_error.fail ~component:"campaign" "golden replay of %s diverged: %s"
-      cfg.label (Watchdog.result_name r));
+      cfg.label
+      (Option.fold r ~some:Machine.status_name
+         ~none:(Printf.sprintf "hang(@%d instrs)" (instrs_of m2))));
   {
     g_status = Machine.status_name st;
     g_exit;
@@ -374,8 +422,8 @@ let report_of_header ~cfg ?(deadline_expired = false) path header
 (* ---- campaign execution ---------------------------------------------- *)
 
 exception Converged
-(** Raised from the checkpoint hook when the suffix digest matches
-    golden's: the remainder of the run is provably identical. *)
+(** Raised at a checkpoint when the suffix digest matches golden's: the
+    remainder of the run is provably identical. *)
 
 let validate (cfg : config) =
   if cfg.runs <= 0 then
@@ -475,29 +523,31 @@ let execute ~mk ~(cfg : config) ~(golden : golden) ~writer ~deadline
       violation_budget = cfg.violation_budget;
     }
   in
+  (* Abort-policy runs stop at the watchdog limit only; [Recover] also
+     stops at the machine's fuel (DESIGN.md, "One stepping loop") *)
   let limit = (cfg.watchdog_factor * golden.g_instrs) + 4096 in
+  let next_checkpoint =
+    next_checkpoint ~interval:golden.g_interval ~instrs:golden.g_instrs
+  in
   (* digest-compare against golden at checkpoint boundaries; convergence
      early-exit must stay off under recovery policies, whose
      classification needs the traps to play out *)
   let checkpoint ~early_exit diverged m =
     let n = instrs_of m in
-    if n < golden.g_instrs && n mod golden.g_interval = 0 then
-      match Hashtbl.find_opt golden.g_digests n with
-      | None -> ()
-      | Some d ->
-        if Snapshot.digest m = d then begin
-          if early_exit then raise Converged
-        end
-        else if !diverged = None then diverged := Some n
+    match Hashtbl.find_opt golden.g_digests n with
+    | None -> ()
+    | Some d ->
+      if Snapshot.digest m = d then begin
+        if early_exit then raise Converged
+      end
+      else if !diverged = None then diverged := Some n
   in
   let last_snap = ref None in
   let snapshot_at at =
     match !last_snap with
     | Some (a, s) when a = at -> s
     | _ ->
-      while instrs_of replay < at && replay.Machine.halted = None do
-        Machine.step replay
-      done;
+      Machine.run_to replay at;
       let s = Snapshot.capture replay in
       last_snap := Some (at, s);
       s
@@ -517,10 +567,10 @@ let execute ~mk ~(cfg : config) ~(golden : golden) ~writer ~deadline
     let rng = Prng.create ~seed:run_seed in
     let diverged = ref None in
     let inj = ref None in
-    let supervise m ~on_step =
+    let supervise m checkpoint =
       (* supervisor-level Hb_errors (e.g. a broken accounting identity
          after rollback) must surface, not classify as Crash *)
-      try `O (Recover.run ~on_step ~limit ~config:pcfg m)
+      try `O (Recover.run ~checkpoint ~limit ~config:pcfg m)
       with
       | Hb_error.Hb_error _ as e -> raise e
       | e -> `Crash (Printexc.to_string e)
@@ -533,14 +583,10 @@ let execute ~mk ~(cfg : config) ~(golden : golden) ~writer ~deadline
         let r =
           if use_recover then
             supervise scratch
-              ~on_step:(checkpoint ~early_exit:false diverged)
+              (next_checkpoint, checkpoint ~early_exit:false diverged)
           else
-            try
-              `R
-                (Watchdog.run
-                   ~on_step:(checkpoint ~early_exit:true diverged)
-                   ~limit scratch)
-            with
+            let at = checkpoint ~early_exit:true diverged in
+            try `R (drive ~limit ~next:next_checkpoint ~at scratch) with
             | Converged -> `Converged
             | e -> `Crash (Printexc.to_string e)
         in
@@ -550,40 +596,24 @@ let execute ~mk ~(cfg : config) ~(golden : golden) ~writer ~deadline
         (* temporal/tripwire state is not snapshot-capturable: re-run
            the prefix and inject on the fly *)
         let m = mk () in
-        let on_step m =
-          let n = instrs_of m in
-          if n = at_instr then inj := Some (Injector.inject rng m site)
-          else if n > at_instr then checkpoint ~early_exit:false diverged m
+        let next n = if n < at_instr then at_instr else next_checkpoint n in
+        let at m =
+          if instrs_of m = at_instr then inj := Some (Injector.inject rng m site)
+          else checkpoint ~early_exit:false diverged m
         in
         let r =
-          if use_recover then supervise m ~on_step
+          if use_recover then supervise m (next, at)
           else
-            try `R (Watchdog.run ~on_step ~limit m)
+            try `R (drive ~limit ~next ~at m)
             with e -> `Crash (Printexc.to_string e)
         in
         (r, m)
       end
     in
     last_m := Some final_m;
-    let classify_status st =
-      match st with
-      | Machine.Bounds_violation _ | Machine.Non_pointer_violation _
-      | Machine.Temporal_violation _ | Machine.Software_abort _ ->
-        ( Outcome.Detected,
-          Machine.status_name st,
-          Some (instrs_of final_m - at_instr) )
-      | Machine.Fault _ -> (Outcome.Crash, Machine.status_name st, None)
-      | Machine.Out_of_fuel -> (Outcome.Hang, "out-of-fuel", None)
-      | Machine.Exited n ->
-        let visible_match =
-          n = golden.g_exit && Machine.output final_m = golden.g_output
-        in
-        if not visible_match then
-          (Outcome.Silent_corruption, Machine.status_name st, None)
-        else if
-          !diverged <> None || Snapshot.digest final_m <> golden.g_digest
-        then (Outcome.Divergence, Machine.status_name st, None)
-        else (Outcome.Masked, Machine.status_name st, None)
+    let verdict =
+      verdict ~g_exit:golden.g_exit ~g_output:golden.g_output
+        ~g_digest:golden.g_digest ~diverged:!diverged ~from:at_instr final_m
     in
     let outcome, status, latency =
       match result with
@@ -592,16 +622,11 @@ let execute ~mk ~(cfg : config) ~(golden : golden) ~writer ~deadline
         match !diverged with
         | None -> (Outcome.Masked, "converged", None)
         | Some _ -> (Outcome.Divergence, "converged-after-divergence", None))
-      | `R (Watchdog.Hang { instrs }) ->
-        (Outcome.Hang, Printf.sprintf "hang(@%d instrs)" instrs, None)
-      | `R (Watchdog.Completed st) -> classify_status st
+      | `R ended -> verdict ended
       | `O (o : Recover.outcome) ->
         (* a trap fired and the policy handled it: the corruption was
            detected, whatever happened afterwards *)
-        if o.Recover.hung then
-          ( Outcome.Hang,
-            Printf.sprintf "hang(@%d instrs)" (instrs_of final_m),
-            None )
+        if o.Recover.hung then verdict None
         else if o.Recover.traps <> [] then
           let first = List.hd o.Recover.traps in
           ( Outcome.Detected,
@@ -609,7 +634,7 @@ let execute ~mk ~(cfg : config) ~(golden : golden) ~writer ~deadline
               (Machine.status_name o.Recover.status)
               (List.length o.Recover.traps),
             Some (first.Recover.trap.Hb_recover.Trap.at_instr - at_instr) )
-        else classify_status o.Recover.status
+        else verdict (Some o.Recover.status)
     in
     let injection =
       match !inj with
@@ -930,36 +955,23 @@ let stochastic_run ~mk (spec : Injector.spec) : stochastic =
   let sites = Array.of_list spec.Injector.sites in
   let m = mk () in
   let injections = ref [] in
-  let on_step m =
-    if Prng.float rng < spec.Injector.rate then begin
-      let site = sites.(Prng.below rng (Array.length sites)) in
-      let i = Injector.inject rng m site in
-      injections := (instrs_of m, i) :: !injections
-    end
-  in
   let limit = (4 * g_instrs) + 4096 in
-  let result =
-    try `R (Watchdog.run ~on_step ~limit m)
-    with e -> `Crash (Printexc.to_string e)
+  (* one draw per retired instruction, the halting one included: the
+     next injection falls on the first count whose draw is under the
+     rate, and no count past the limit retires *)
+  let rec next n =
+    let n = n + 1 in
+    if n > limit || Prng.float rng < spec.Injector.rate then n else next n
   in
-  let s_outcome, s_status =
-    match result with
-    | `Crash msg -> (Outcome.Crash, "exception: " ^ msg)
-    | `R (Watchdog.Hang { instrs }) ->
-      (Outcome.Hang, Printf.sprintf "hang(@%d instrs)" instrs)
-    | `R (Watchdog.Completed st) -> (
-      match st with
-      | Machine.Bounds_violation _ | Machine.Non_pointer_violation _
-      | Machine.Temporal_violation _ | Machine.Software_abort _ ->
-        (Outcome.Detected, Machine.status_name st)
-      | Machine.Fault _ -> (Outcome.Crash, Machine.status_name st)
-      | Machine.Out_of_fuel -> (Outcome.Hang, "out-of-fuel")
-      | Machine.Exited n ->
-        if n <> g_exit || Machine.output m <> g_output then
-          (Outcome.Silent_corruption, Machine.status_name st)
-        else if Snapshot.digest m <> g_digest then
-          (Outcome.Divergence, Machine.status_name st)
-        else (Outcome.Masked, Machine.status_name st))
+  let at m =
+    let site = sites.(Prng.below rng (Array.length sites)) in
+    let i = Injector.inject rng m site in
+    injections := (instrs_of m, i) :: !injections
+  in
+  let s_outcome, s_status, _ =
+    match drive ~limit ~next ~at m with
+    | ended -> verdict ~g_exit ~g_output ~g_digest ~diverged:None ~from:0 m ended
+    | exception e -> (Outcome.Crash, "exception: " ^ Printexc.to_string e, None)
   in
   {
     injections = List.rev !injections;

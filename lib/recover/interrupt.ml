@@ -32,12 +32,19 @@ let install () =
 
 let requested () = !flag <> None
 
-let signal_name () =
-  match !flag with
-  | Some s when s = Sys.sigint -> "SIGINT"
-  | Some s when s = Sys.sigterm -> "SIGTERM"
-  | Some s -> Printf.sprintf "signal %d" s
-  | None -> "none"
+(* OCaml's own (negative) numbers for the signals that end a process *)
+let name s =
+  match
+    List.assoc_opt s
+      Sys.[ (sigkill, "SIGKILL"); (sigterm, "SIGTERM"); (sigint, "SIGINT");
+            (sigsegv, "SIGSEGV"); (sigabrt, "SIGABRT"); (sigbus, "SIGBUS");
+            (sigfpe, "SIGFPE"); (sigill, "SIGILL"); (sigpipe, "SIGPIPE");
+            (sighup, "SIGHUP"); (sigquit, "SIGQUIT"); (sigalrm, "SIGALRM") ]
+  with
+  | Some n -> n
+  | None -> Printf.sprintf "signal %d" s
+
+let signal_name () = match !flag with Some s -> name s | None -> "none"
 
 (* Tests fork-free simulate a delivery by resetting between cases. *)
 let reset () = flag := None

@@ -11,8 +11,11 @@ val install : unit -> unit
 val requested : unit -> bool
 (** [true] once a shutdown signal has been delivered (or simulated). *)
 
+val name : int -> string
+(** ["SIGKILL"] for [Sys.sigkill], and so on; ["signal N"] otherwise. *)
+
 val signal_name : unit -> string
-(** ["SIGTERM"], ["SIGINT"], ["signal N"], or ["none"]. *)
+(** The {!name} of the delivered signal, or ["none"]. *)
 
 val reset : unit -> unit
 (** Clear the flag (tests). *)

@@ -1,13 +1,14 @@
 (** The trap supervisor: precise violation traps dispatched to a
     configurable recovery policy.
 
-    {!run} steps a machine like {!Hb_cpu.Machine.run} does, but catches
-    the checker's bounds / non-pointer exceptions with the pc still at
+    {!run} drives a machine through {!Hb_cpu.Machine.run_to}, as
+    {!Hb_cpu.Machine.run} does, but catches the checker's bounds /
+    non-pointer exceptions that escape a segment with the pc still at
     the faulting instruction, materializes a precise {!Trap.t}, and then
     *continues* according to the configured {!Policy.t}:
 
     - [Abort] terminates with the violation status (bit-for-bit the
-      behavior of [Machine.run] / [Watchdog.run]);
+      behavior of [Machine.run]);
     - [Report] arms the machine's one-shot [Skip_check] override and
       re-issues the faulting instruction, retiring the access unchecked.
       An unchecked retire of a wild pointer may still die on the
@@ -81,9 +82,14 @@ let summary (o : outcome) =
     (if o.hung then "; watchdog limit hit" else "")
     (if o.deadline_expired then "; deadline expired" else "")
 
-let run ?(on_step = fun (_ : Machine.t) -> ()) ?(limit = max_int)
+(** Run [m] to a halt, its fuel, the watchdog [limit] or the [deadline],
+    dispatching every trap to the policy.  [checkpoint = (next, at)] runs
+    [at m] after each instruction that retires normally on the count
+    [next n], the first checkpoint above [n]; a trap on it skips it. *)
+let run ?(checkpoint = ((fun _ -> max_int), ignore)) ?(limit = max_int)
     ?(deadline = Deadline.none) ?(line_base = 0) ~(config : Policy.config)
     (m : Machine.t) : outcome =
+  let next, at = checkpoint in
   let traps = ref [] in
   let handled = ref 0 in
   let rollbacks = ref 0 in
@@ -107,7 +113,7 @@ let run ?(on_step = fun (_ : Machine.t) -> ()) ?(limit = max_int)
     if !ring_n = 0 then None else ring.((!ring_n - 1) mod ring_cap)
   in
   let interval = max 1 config.Policy.checkpoint_interval in
-  let next_capture = ref 0 in
+  let next_capture = ref (if want_ring then 0 else max_int) in
   let repeat_counts : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
   let suppress : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
   let finish st =
@@ -211,50 +217,45 @@ let run ?(on_step = fun (_ : Machine.t) -> ()) ?(limit = max_int)
               `Continue
         end
   in
+  (* Segments of [Machine.run_to]: one starts at count [n] with the checks
+     that fall on [n] and stops where the next check or checkpoint falls.
+     A trap leaves it with the count past the faulting instruction, where
+     the loop re-enters.  A stop at the limit, the fuel or the deadline
+     leaves the machine runnable. *)
+  let fuel = m.Machine.cfg.Machine.max_instrs in
   let rec loop () : Machine.status =
-    match
-      try
-        let fin = ref None in
-        while !fin = None do
-          match m.Machine.halted with
-          | Some st -> fin := Some (`Done st)
-          | None ->
-            let n = m.Machine.stats.Stats.instructions in
-            if n >= limit then begin
-              hung := true;
-              fin := Some (`Stop Machine.Out_of_fuel)
-            end
-            else if n >= m.Machine.cfg.Machine.max_instrs then
-              fin := Some (`Stop Machine.Out_of_fuel)
-            else if n land 8191 = 0 && Deadline.expired deadline then begin
-              ddl := true;
-              fin := Some (`Stop Machine.Out_of_fuel)
-            end
-            else begin
-              if want_ring && n >= !next_capture then begin
-                push (Snapshot.capture m);
-                next_capture := n + interval
-              end;
-              Machine.step m;
-              on_step m
-            end
-        done;
-        match !fin with
-        | Some r -> (r :> [ `Done of Machine.status
-                          | `Stop of Machine.status
-                          | `Trap of Trap.kind * Checker.violation ])
-        | None -> assert false
-      with
-      | Checker.Bounds_violation v -> `Trap (Trap.Bounds, v)
-      | Checker.Non_pointer_deref v -> `Trap (Trap.Non_pointer, v)
-      | e -> `Done (Machine.halt_of_exn m e)
-    with
-    | `Done st -> st
-    | `Stop st -> st  (* limit / fuel / deadline: machine left runnable *)
-    | `Trap (kind, v) -> (
-      match dispatch kind v with
-      | `Continue -> loop ()
-      | `Terminal st -> st)
+    match m.Machine.halted with
+    | Some st -> st
+    | None ->
+      let n = m.Machine.stats.Stats.instructions in
+      if n >= limit then begin
+        hung := true;
+        Machine.Out_of_fuel
+      end
+      else if n >= fuel then Machine.Out_of_fuel
+      else if n land 8191 = 0 && Deadline.expired deadline then begin
+        ddl := true;
+        Machine.Out_of_fuel
+      end
+      else begin
+        if n >= !next_capture then begin
+          push (Snapshot.capture m);
+          next_capture := n + interval
+        end;
+        let c = next n in
+        let stop = min (min limit fuel) (min c !next_capture) in
+        let stop = min stop ((n lor 8191) + 1) in
+        match
+          Machine.run_to m stop;
+          if m.Machine.stats.Stats.instructions = c then at m
+        with
+        | () -> loop ()
+        | exception Checker.Bounds_violation v -> trap Trap.Bounds v
+        | exception Checker.Non_pointer_deref v -> trap Trap.Non_pointer v
+        | exception e -> Machine.halt_of_exn m e
+      end
+  and trap kind v =
+    match dispatch kind v with `Continue -> loop () | `Terminal st -> st
   in
   let status = loop () in
   (* A recovery path must leave the timing model's books balanced. *)

@@ -74,7 +74,7 @@ let reaped pid =
   | _, Unix.WEXITED 4 -> Some Partial
   | _, Unix.WEXITED c -> Some (Crashed (Printf.sprintf "exited with code %d" c))
   | _, Unix.WSIGNALED sg ->
-    Some (Crashed (Printf.sprintf "killed by signal %d" sg))
+    Some (Crashed ("killed by " ^ Hb_recover.Interrupt.name sg))
 
 let sigkill pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());

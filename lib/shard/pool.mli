@@ -19,7 +19,8 @@ type exit =
   | Error  (** typed error, recorded by the child; retrying cannot help *)
   | Crashed of string
       (** anything else, read back as ["exited with code N"] or
-          ["killed by signal N"]; a retry may help *)
+          ["killed by SIGKILL"] (a signal's {!Hb_recover.Interrupt.name});
+          a retry may help *)
 
 type ending =
   | Exited of exit  (** exited on its own and was reaped *)

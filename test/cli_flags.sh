@@ -1,8 +1,8 @@
 # hardbound_run's flags that no other test sets, one case each on the
-# small cli_*.c programs beside this script, and the four recovery
-# policies.  Prints each case's stdout (or the pinned lines of the file
-# it writes; a policy case's stderr too) and its exit status; test/dune
-# diffs the result against cli_flags.expected.
+# small cli_*.c programs beside this script, the four recovery policies
+# and an expired deadline.  Prints each case's stdout (or the pinned
+# lines of the file it writes; a policy case's stderr too) and its exit
+# status; test/dune diffs the result against cli_flags.expected.
 #
 #   sh cli_flags.sh path/to/hardbound_run.exe
 run=$1
@@ -54,3 +54,16 @@ done
 echo "out-of-bounds loop --on-violation report --violation-budget 2:"
 "$run" cli_oob_loop.c --on-violation report --violation-budget 2 2>&1
 echo "exit $?"
+
+# a wall-clock deadline that has already passed: the supervisor's first
+# poll, at instruction 0, and the campaign's check before its first run
+echo "clean --deadline 0:"
+"$run" cli_clean.c --deadline 0
+echo "exit $?"
+
+echo "campaign 5 --deadline 0:"
+"$run" cli_clean.c --campaign 5 --deadline 0 --campaign-json "$tmp/d.json" \
+  > "$tmp/d.txt"
+echo "exit $?"
+grep 'deadline expired' "$tmp/d.txt"
+grep '"deadline_expired"\|"completed"' "$tmp/d.json"

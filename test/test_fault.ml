@@ -1,5 +1,6 @@
 (* Fault-injection subsystem tests: the seeded PRNG, machine snapshots,
-   the watchdog, the injector, and full campaign determinism. *)
+   the stepping loop's budget, the injector, and full campaign
+   determinism. *)
 
 module Build = Hb_runtime.Build
 module Codegen = Hb_minic.Codegen
@@ -10,9 +11,9 @@ module Json = Hb_obs.Json
 module Trace = Hb_obs.Trace
 module Prng = Hb_fault.Prng
 module Injector = Hb_fault.Injector
-module Watchdog = Hb_fault.Watchdog
 module Outcome = Hb_fault.Outcome
 module Campaign = Hb_fault.Campaign
+module Policy = Hb_recover.Policy
 
 (* A workload small enough for sub-second campaigns yet doing real
    pointer work: builds a linked list on the heap, sums it, prints. *)
@@ -123,25 +124,32 @@ int main() {
 }
 |}
 
+(* [Machine.run_to] is the campaign's watchdog: a spinning program stops
+   on the budget itself, still runnable, and a second budget resumes it *)
 let test_watchdog_hang () =
   let image, globals = Build.compile ~mode:Codegen.Hardbound spin_forever_src in
   let config = Build.config_for Codegen.Hardbound in
   let m = Machine.create ~config ~globals image in
-  match Watchdog.run ~limit:10_000 m with
-  | Watchdog.Hang { instrs } ->
-    Alcotest.(check int) "watchdog fires exactly at its budget" 10_000 instrs
-  | Watchdog.Completed st ->
-    Alcotest.failf "expected a hang, got %s" (Machine.status_name st)
+  Machine.run_to m 10_000;
+  (match m.Machine.halted with
+  | None ->
+    Alcotest.(check int) "watchdog fires exactly at its budget" 10_000
+      m.Machine.stats.Stats.instructions
+  | Some st -> Alcotest.failf "expected a hang, got %s" (Machine.status_name st));
+  Machine.run_to m 10_500;
+  Alcotest.(check int) "the machine stays runnable" 10_500
+    m.Machine.stats.Stats.instructions
 
 let test_watchdog_completion_matches_run () =
   let mk = maker () in
   let m1 = mk () and m2 = mk () in
   let st1 = Machine.run m1 in
-  (match Watchdog.run ~limit:max_int m2 with
-  | Watchdog.Completed st2 ->
+  Machine.run_to m2 max_int;
+  (match m2.Machine.halted with
+  | Some st2 ->
     Alcotest.(check string) "watchdogged run agrees with Machine.run"
       (Machine.status_name st1) (Machine.status_name st2)
-  | Watchdog.Hang _ -> Alcotest.fail "unexpected hang");
+  | None -> Alcotest.fail "unexpected hang");
   Alcotest.(check string) "same output" (Machine.output m1)
     (Machine.output m2)
 
@@ -328,18 +336,19 @@ let test_campaign_detects_bounds_faults () =
   Alcotest.(check bool) "bounds-metadata faults are detected" true
     (Campaign.count r None Outcome.Detected > 0)
 
-let test_campaign_slow_path_matches_fast () =
-  (* temporal mode disables snapshot fast-forward; the classification must
-     still be a partition and the report deterministic *)
+(* Temporal mode disables snapshot fast-forward: every run re-executes
+   its prefix and injects on the fly.  Its report is pinned as one MD5,
+   recorded before the campaign's runs stopped at checkpoint counts
+   instead of testing every retired instruction. *)
+let test_campaign_slow_path_pin () =
   let image, globals = Build.compile ~mode:Codegen.Hardbound little_src in
   let config = Build.config_for ~temporal:true Codegen.Hardbound in
   let mk () = Machine.create ~config ~globals image in
   let cfg = { campaign_cfg with Campaign.runs = 10 } in
-  let r1 = Campaign.run ~mk cfg in
-  let r2 = Campaign.run ~mk cfg in
-  Alcotest.(check string) "temporal campaign is deterministic too"
-    (Json.to_string_pretty (Campaign.to_json r1))
-    (Json.to_string_pretty (Campaign.to_json r2))
+  let report = Json.to_string_pretty (Campaign.to_json (Campaign.run ~mk cfg)) in
+  Alcotest.(check string) "temporal campaign report digest"
+    "89a61741a379511effd65439e641e90a"
+    (Digest.to_hex (Digest.string report))
 
 let test_stochastic_rate_zero_is_masked () =
   let mk = maker () in
@@ -349,6 +358,44 @@ let test_stochastic_rate_zero_is_masked () =
     (List.length s.Campaign.injections);
   Alcotest.(check string) "uninjected run is masked" "masked"
     (Outcome.name s.Campaign.s_outcome)
+
+(* Stochastic runs at nonzero rates: each draws one float after every
+   retired instruction (the halting one too) and injects when it falls
+   under the rate.  Pinned are the injection list, the outcome, the
+   status and the instruction count, recorded before the draws moved out
+   of a per-instruction hook; the cases reach every outcome but hang,
+   and all but one inject more than once. *)
+let test_stochastic_pin () =
+  let mk = maker () in
+  let render (rate, seed) =
+    let s =
+      Campaign.stochastic_run ~mk
+        { Injector.sites = Injector.all_sites; rate; seed }
+    in
+    let inj (at, (i : Injector.injection)) =
+      Printf.sprintf "%d:%s:%d:%d:%d:%d" at (Injector.site_name i.Injector.site)
+        i.Injector.target i.Injector.bit i.Injector.before i.Injector.after
+    in
+    ( Printf.sprintf "%g/%d %d %s" rate seed
+        (List.length s.Campaign.injections)
+        (Outcome.name s.Campaign.s_outcome),
+      Printf.sprintf "%s|%s|%d"
+        (String.concat ";" (List.map inj s.Campaign.injections))
+        s.Campaign.s_status s.Campaign.s_instrs )
+  in
+  let runs =
+    List.map render
+      [ (0.0005, 2); (0.0005, 3); (0.0005, 4); (0.0005, 10); (0.002, 4);
+        (0.01, 5); (1.0, 3); (1.0, 10) ]
+  in
+  Alcotest.(check (list string)) "injections and outcome per run"
+    [ "0.0005/2 2 crash"; "0.0005/3 2 divergence"; "0.0005/4 1 masked";
+      "0.0005/10 2 detected"; "0.002/4 17 silent_corruption";
+      "0.01/5 39 crash"; "1/3 120 detected"; "1/10 47 crash" ]
+    (List.map fst runs);
+  Alcotest.(check string) "injection lists, statuses and counts digest"
+    "3ef2cbba24137ba31d7fddf88ce46d2c"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map snd runs))))
 
 (* An out-of-range config is a typed error before any run, so serial CLI
    campaigns, shards and daemon jobs share one rule. *)
@@ -369,10 +416,12 @@ let test_config_validation () =
     ]
 
 (* The campaign report for power (every injection site, seed 7) under
-   each encoding, pinned as one MD5 each: an injected run's outcome,
-   latency and divergence point depend on every simulated byte, so a
-   codec or interpreter slip shows here.  Recorded before the
-   interpreter was pre-decoded. *)
+   each encoding, and under each recovery policy on extern-4, pinned as
+   one MD5 each: an injected run's outcome, latency and divergence point
+   depend on every simulated byte, so a codec or interpreter slip shows
+   here, and a policy run's traps and stops as well.  The encodings were
+   recorded before the interpreter was pre-decoded, the policies before
+   the campaign's runs stopped at checkpoint counts. *)
 let test_campaign_report_pin () =
   let image, globals =
     Build.compile ~mode:Codegen.Hardbound
@@ -383,21 +432,41 @@ let test_campaign_report_pin () =
       Campaign.label = "power"; runs = 10; seed = 7;
       sites = Injector.all_sites }
   in
-  let digest scheme =
+  (* one golden run per encoding serves all of its policies *)
+  let digests (scheme, policies) =
     let config = Build.config_for ~scheme Codegen.Hardbound in
     let mk () = Machine.create ~config ~globals image in
-    let report = Json.to_string_pretty (Campaign.to_json (Campaign.run ~mk cfg)) in
-    (Hardbound.Encoding.scheme_name scheme, Digest.to_hex (Digest.string report))
+    let golden = Campaign.prepare ~mk cfg in
+    List.map
+      (fun policy ->
+        let cfg = { cfg with Campaign.policy } in
+        let report =
+          Json.to_string_pretty
+            (Campaign.to_json (Campaign.execute_plan ~mk ~cfg ~golden ~prior:[] ()))
+        in
+        ( (if policy = Policy.Abort then Hardbound.Encoding.scheme_name scheme
+           else Policy.name policy),
+          Digest.to_hex (Digest.string report) ))
+      policies
   in
   Alcotest.(check (list (pair string string)))
-    "report digest per encoding"
+    "report digest per encoding and per policy on extern-4"
     [
       ("uncompressed", "38f6f736c36d85af40b5a19f3eff2537");
       ("extern-4", "3164c3850429ba149de2f3e08bc2a8e0");
+      ("report", "f00e018eb98693c953fcd8de9014c73e");
+      ("null-guard", "5b7dc75f519924bb667ac181b338f410");
+      ("rollback", "eac513fe1121f3f2bfff6cc5ad6f6a96");
       ("intern-4", "901b47b307ace08c1adadbf5336b2e41");
       ("intern-11", "9b1776ea71f8bc8824d6375c9148df9a");
     ]
-    (List.map digest Hardbound.Encoding.all_schemes)
+    (List.concat_map digests
+       (List.map
+          (fun scheme ->
+            ( scheme,
+              if scheme = Hardbound.Encoding.Extern4 then Policy.all
+              else [ Policy.Abort ] ))
+          Hardbound.Encoding.all_schemes))
 
 (* CI's smoke campaign, [hardbound_run --workload power --inject all:0:7
    --campaign 50], on the configuration the CLI builds for it: HardBound
@@ -420,8 +489,8 @@ let test_campaign_cli_smoke () =
       runs = 50;
       seed = spec.Injector.seed;
       sites = spec.Injector.sites;
-      policy = Hb_recover.Policy.Abort;
-      violation_budget = Hb_recover.Policy.default.Hb_recover.Policy.violation_budget }
+      policy = Policy.Abort;
+      violation_budget = Policy.default.Policy.violation_budget }
   in
   let mk () = Machine.create ~config ~globals image in
   let r = Campaign.run ~mk cfg in
@@ -467,7 +536,7 @@ let () =
           Alcotest.test_case "detects-bounds-faults" `Quick
             test_campaign_detects_bounds_faults;
           Alcotest.test_case "temporal-slow-path" `Quick
-            test_campaign_slow_path_matches_fast;
+            test_campaign_slow_path_pin;
           Alcotest.test_case "stochastic-rate-zero" `Quick
             test_stochastic_rate_zero_is_masked;
           Alcotest.test_case "power report pin, every encoding" `Quick
@@ -476,5 +545,7 @@ let () =
             test_config_validation;
           Alcotest.test_case "CLI smoke campaign: 50 runs, 5 detected" `Quick
             test_campaign_cli_smoke;
+          Alcotest.test_case "stochastic pin, nonzero rates" `Quick
+            test_stochastic_pin;
         ] );
     ]

@@ -525,6 +525,28 @@ let test_escape_kills_workers () =
   cleanup ~base ~jobs:2;
   Alcotest.(check (list int)) "every logged worker is gone" [] alive
 
+(* A pool child that dies by a signal is named by the signal, as the
+   interrupt path names SIGTERM: a SIGKILLed worker logs and journals
+   "killed by SIGKILL", not OCaml's own negative signal number. *)
+let test_killed_child_names_signal () =
+  let pool = Pool.create ~attempts:1 ~backoff_base_s:0. ~backoff_cap_s:0. in
+  (match
+     Pool.spawn pool () ~timeout_s:60. (fun () ->
+         Unix.kill (Unix.getpid ()) Sys.sigkill;
+         Pool.Ok)
+   with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.fail msg);
+  let rec ending polls =
+    match Pool.poll pool with
+    | [] when polls > 0 ->
+      Unix.sleepf 0.01;
+      ending (polls - 1)
+    | [ (_, _, Pool.Exited (Pool.Crashed why)) ] -> why
+    | _ -> Alcotest.fail "expected one crashed child"
+  in
+  Alcotest.(check string) "crash reason" "killed by SIGKILL" (ending 3000)
+
 let () =
   Alcotest.run "shard"
     [
@@ -552,6 +574,8 @@ let () =
             test_exhausted_restarts_adopted;
           Alcotest.test_case "escape-kills-workers" `Quick
             test_escape_kills_workers;
+          Alcotest.test_case "killed child names its signal" `Quick
+            test_killed_child_names_signal;
         ] );
       ( "typed-failures",
         [
